@@ -11,15 +11,13 @@ import argparse
 import sys
 from pathlib import Path
 
-from .dataset import load_manifest
+from .dataset import SceneSet, load_manifest
 from .errors import FovlinkError
 from .experiments import (
     LOWLIGHT_TAGS,
     AllScenesFailed,
     EmptyFailureSet,
     ExperimentConfig,
-    InsufficientRuns,
-    analyze_run_consistency,
     lowlight_failure_share,
     run_binary_experiment,
     run_localization_experiment,
@@ -27,7 +25,7 @@ from .experiments import (
 )
 from .gateway import Gateway, GatewayError, LiveBackend, MockBackend, QueryParams, UnscriptedKey
 from .prompts import UnknownPromptId
-from .report import ReportBundle, emit_report, normalize_targets, rerender
+from .report import ReportBundle, consistency_or_none, emit_report, normalize_targets, rerender
 from .v2v import load_scenario, run_dialogue
 
 EXIT_OK = 0
@@ -96,117 +94,81 @@ def _make_gateway(args) -> Gateway:
     return Gateway(LiveBackend())
 
 
-def _make_config(args, runs: int) -> ExperimentConfig:
-    params = QueryParams(
+def _query_params(args) -> QueryParams:
+    return QueryParams(
         model_name=args.model,
         max_tokens=args.max_tokens,
         temperature=args.temperature,
         timeout=args.timeout,
         max_retries=args.retries,
     )
-    return ExperimentConfig(runs_per_prompt=runs, parallelism=args.parallelism, params=params)
 
 
-def _scene_maps(scenes) -> tuple[dict[str, bool], dict[str, bool]]:
-    labels = {r.scene_id: r.has_pedestrian for r in scenes}
-    lowlight = {r.scene_id: bool(r.tags & LOWLIGHT_TAGS) for r in scenes}
-    return labels, lowlight
-
-
-def _consistency_or_none(results):
-    try:
-        return analyze_run_consistency(results)
-    except InsufficientRuns:
-        return None
-
-
-def _cmd_exp1(args) -> int:
+def _experiment_inputs(args) -> tuple[SceneSet, Gateway, ExperimentConfig]:
+    """Scenes, gateway and config that exp1, exp2 and exp3 start from."""
     scenes = load_manifest(args.manifest)
     gateway = _make_gateway(args)
-    config = _make_config(args, args.runs)
-    outcome = run_binary_experiment(scenes, args.prompt, gateway, config)
-    labels, lowlight = _scene_maps(scenes)
-    bundle = ReportBundle(
-        binary=outcome,
-        consistency=_consistency_or_none(outcome.results),
-        labels=labels,
-        lowlight=lowlight,
+    config = ExperimentConfig(
+        runs_per_prompt=args.runs, parallelism=args.parallelism, params=_query_params(args)
     )
-    files = emit_report(bundle, DEFAULT_TARGETS, args.out)
+    return scenes, gateway, config
+
+
+def _emit_experiment(out: Path, scenes: SceneSet, results, **parts) -> list[Path]:
+    """Write an experiment's report with the scene maps and run consistency."""
+    bundle = ReportBundle(
+        consistency=consistency_or_none(results),
+        labels={r.scene_id: r.has_pedestrian for r in scenes},
+        lowlight={r.scene_id: bool(r.tags & LOWLIGHT_TAGS) for r in scenes},
+        **parts,
+    )
+    return emit_report(bundle, DEFAULT_TARGETS, out)
+
+
+def _cmd_exp1(args) -> list[Path]:
+    scenes, gateway, config = _experiment_inputs(args)
+    outcome = run_binary_experiment(scenes, args.prompt, gateway, config)
+    files = _emit_experiment(args.out, scenes, outcome.results, binary=outcome)
     m = outcome.matrix
     recall = outcome.stats.recall
     recall_txt = "n/a" if recall is None else f"{recall * 100:.2f}%"
     print(f"exp1 {args.prompt}: matrix (tp={m.tp}, fn={m.fn_}, fp={m.fp}, tn={m.tn}), recall {recall_txt}")
-    for path in files:
-        print(f"wrote {path}")
-    return EXIT_OK
+    return files
 
 
-def _localization_bundle(scenes, outcome) -> ReportBundle:
-    labels, lowlight = _scene_maps(scenes)
+def _cmd_exp2(args) -> list[Path]:
+    scenes, gateway, config = _experiment_inputs(args)
+    outcome = run_localization_experiment(scenes, args.prompt, gateway, config)
     try:
         share = lowlight_failure_share(outcome.results, scenes)
     except EmptyFailureSet:
         share = None
-    return ReportBundle(
-        localization=outcome,
-        consistency=_consistency_or_none(outcome.results),
-        labels=labels,
-        lowlight=lowlight,
-        lowlight_share=share,
+    files = _emit_experiment(
+        args.out, scenes, outcome.results, localization=outcome, lowlight_share=share
     )
-
-
-def _cmd_exp2(args) -> int:
-    scenes = load_manifest(args.manifest)
-    gateway = _make_gateway(args)
-    config = _make_config(args, args.runs)
-    outcome = run_localization_experiment(scenes, args.prompt, gateway, config)
-    files = emit_report(_localization_bundle(scenes, outcome), DEFAULT_TARGETS, args.out)
     s = outcome.summary
     print(
         f"exp2 {args.prompt}: union rate {s.union_rate * 100:.2f}% over {s.n_tests} tests, "
         f"recall_all {s.recall_mean_all * 100:.2f}%"
     )
-    for path in files:
-        print(f"wrote {path}")
-    return EXIT_OK
+    return files
 
 
-def _cmd_exp3(args) -> int:
-    scenes = load_manifest(args.manifest)
-    gateway = _make_gateway(args)
-    config = _make_config(args, args.runs)
+def _cmd_exp3(args) -> list[Path]:
+    scenes, gateway, config = _experiment_inputs(args)
     prompt_ids = tuple(p.strip() for p in args.prompts.split(",") if p.strip())
     comparison = run_prompt_comparison(scenes, prompt_ids, gateway, config)
-    labels, lowlight = _scene_maps(scenes)
-    all_results = [r for pid in comparison.prompt_ids for r in comparison.runs[pid].results]
-    bundle = ReportBundle(
-        comparison=comparison,
-        consistency=_consistency_or_none(all_results),
-        labels=labels,
-        lowlight=lowlight,
-    )
-    files = emit_report(bundle, DEFAULT_TARGETS, args.out)
+    files = _emit_experiment(args.out, scenes, comparison.results, comparison=comparison)
     for pid, summary in comparison.summary_table():
         print(f"exp3 {pid}: union rate {summary.union_rate * 100:.2f}%")
-    for path in files:
-        print(f"wrote {path}")
-    return EXIT_OK
+    return files
 
 
-def _cmd_v2v(args) -> int:
+def _cmd_v2v(args) -> list[Path]:
     ego, remotes, link, prompt_id = load_scenario(args.scenario)
     scenes = load_manifest(args.manifest)
     gateway = _make_gateway(args)
-    params = QueryParams(
-        model_name=args.model,
-        max_tokens=args.max_tokens,
-        temperature=args.temperature,
-        timeout=args.timeout,
-        max_retries=args.retries,
-    )
-    transcript = run_dialogue(ego, remotes, scenes, prompt_id, gateway, link, params)
+    transcript = run_dialogue(ego, remotes, scenes, prompt_id, gateway, link, _query_params(args))
     files = emit_report(ReportBundle(transcript=transcript), DEFAULT_TARGETS, args.out)
     c = transcript.comparison()
     ratio_txt = "n/a" if c.ratio is None else f"{c.ratio:.6f}"
@@ -215,17 +177,12 @@ def _cmd_v2v(args) -> int:
         f"({c.dialogue_time:.6f} s) vs stream {c.stream_bytes} B ({c.stream_time:.6f} s), "
         f"ratio {ratio_txt}"
     )
-    for path in files:
-        print(f"wrote {path}")
-    return EXIT_OK
+    return files
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> list[Path]:
     targets = normalize_targets(t.strip() for t in args.targets.split(",") if t.strip())
-    files = rerender(args.in_dir, targets)
-    for path in files:
-        print(f"wrote {path}")
-    return EXIT_OK
+    return rerender(args.in_dir, targets)
 
 
 _COMMANDS = {
@@ -243,7 +200,9 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "backend", None) == "mock" and not args.fixture:
         parser.error(f"{args.command}: --backend mock requires --fixture")
     try:
-        return _COMMANDS[args.command](args)
+        for path in _COMMANDS[args.command](args):
+            print(f"wrote {path}")
+        return EXIT_OK
     except UnscriptedKey as e:
         print(f"fovlink: fixture error: {e}", file=sys.stderr)
         return EXIT_DATA

@@ -108,6 +108,11 @@ class PromptComparison:
     def summary_table(self) -> list[tuple[str, stats_mod.LocalizationSummary]]:
         return [(pid, self.runs[pid].summary) for pid in self.prompt_ids]
 
+    @property
+    def results(self) -> tuple[RunResult, ...]:
+        """Every prompt's results, in prompt order."""
+        return tuple(r for pid in self.prompt_ids for r in self.runs[pid].results)
+
 
 @dataclass(frozen=True, slots=True)
 class ConsistencyRecord:
@@ -119,23 +124,29 @@ class ConsistencyRecord:
     flagged: bool
 
 
-def _query_one(
-    scene: SceneRecord,
+def query_detection(
+    image: bytes,
+    scene_id: str,
     prompt: PromptSpec,
     run_idx: int,
     gateway: Gateway,
-    config: ExperimentConfig,
+    params: QueryParams,
 ) -> RunResult:
-    image = scene.image_path.read_bytes()
-    key = (scene.scene_id, prompt.prompt_id, run_idx)
+    """Ask the vision model about one frame and parse its reply.
+
+    The one query → detection step shared by the experiments and the V2V
+    dialogue. A gateway fault becomes a recorded fault result; an
+    unscripted mock key is a harness bug and propagates.
+    """
+    key = (scene_id, prompt.prompt_id, run_idx)
     try:
-        response = gateway.send_vision_query(image, prompt.text, config.params, key)
+        response = gateway.send_vision_query(image, prompt.text, params, key)
     except UnscriptedKey:
         # a hole in the fixture is a harness bug, not a backend fault
         raise
     except GatewayError as e:
         return RunResult(
-            scene_id=scene.scene_id,
+            scene_id=scene_id,
             prompt_id=prompt.prompt_id,
             run_idx=run_idx,
             detection=None,
@@ -148,7 +159,7 @@ def _query_one(
     else:
         detection = detect_bbox(response.text)
     return RunResult(
-        scene_id=scene.scene_id,
+        scene_id=scene_id,
         prompt_id=prompt.prompt_id,
         run_idx=run_idx,
         detection=detection,
@@ -165,17 +176,18 @@ def _dispatch(
 ) -> tuple[RunResult, ...]:
     if not scenes:
         raise ExperimentPrecondition("experiment invoked with zero scenes")
+
+    def query(task: tuple[SceneRecord, int]) -> RunResult:
+        scene, run_idx = task
+        image = scene.image_path.read_bytes()
+        return query_detection(image, scene.scene_id, prompt, run_idx, gateway, config.params)
+
     tasks = [(scene, run_idx) for scene in scenes for run_idx in range(config.runs_per_prompt)]
     if config.parallelism == 1:
-        results = [_query_one(scene, prompt, run_idx, gateway, config) for scene, run_idx in tasks]
+        results = [query(task) for task in tasks]
     else:
         with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            results = list(
-                pool.map(
-                    lambda task: _query_one(task[0], prompt, task[1], gateway, config),
-                    tasks,
-                )
-            )
+            results = list(pool.map(query, tasks))
     results.sort(key=lambda r: (r.scene_id, r.prompt_id, r.run_idx))
     if all(r.fault is not None for r in results):
         raise AllScenesFailed(f"all {len(scenes)} scenes failed at the gateway")
@@ -209,10 +221,14 @@ def run_binary_experiment(
     if prompt.expected_format is not ExpectedFormat.YES_NO:
         raise ExperimentPrecondition(f"prompt {prompt_id} is not a yes/no prompt")
     results = _dispatch(list(scenes), prompt, gateway, config)
-    labels = scenes.labels()
-    per_run = tuple(
-        _matrix_for_run(results, labels, run_idx) for run_idx in range(config.runs_per_prompt)
-    )
+    return binary_result(results, scenes.labels(), config.runs_per_prompt)
+
+
+def binary_result(
+    results: tuple[RunResult, ...], labels: list[tuple[str, bool]], n_runs: int
+) -> BinaryExperimentResult:
+    """Score sorted binary results: one confusion matrix per run, run 0 the headline."""
+    per_run = tuple(_matrix_for_run(results, labels, run_idx) for run_idx in range(n_runs))
     per_run_stats = tuple(stats_mod.derive_detection_stats(m) for m in per_run)
     return BinaryExperimentResult(
         results=results,
@@ -273,6 +289,13 @@ def run_localization_experiment(
         for r in results
         if r.detection is not None
     )
+    return localization_result(results, samples)
+
+
+def localization_result(
+    results: tuple[RunResult, ...], samples: tuple[LocalizationSample, ...]
+) -> LocalizationExperimentResult:
+    """Summarize scored localization samples next to the results behind them."""
     summary = stats_mod.summarize_localization(
         [(s.scene_id, s.run_idx, s.overlap, s.recall, s.iou) for s in samples]
     )

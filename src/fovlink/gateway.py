@@ -104,7 +104,10 @@ _FAULT_ERRORS = {
 
 def load_mock_fixture(path: str | Path) -> dict[str, dict]:
     """Load a mock script: {"scene|prompt|run": {"text": ...} | {"fault": kind}}."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise MalformedBackendReply(f"mock fixture is not valid JSON: {e}") from e
     if not isinstance(raw, dict):
         raise MalformedBackendReply("mock fixture must be a JSON object")
     for key, entry in raw.items():
@@ -112,6 +115,8 @@ def load_mock_fixture(path: str | Path) -> dict[str, dict]:
             raise MalformedBackendReply(
                 f"fixture entry {key!r} must have exactly one of 'text' or 'fault'"
             )
+        if "text" in entry and not isinstance(entry["text"], str):
+            raise MalformedBackendReply(f"fixture entry {key!r} has non-string text")
         if "fault" in entry and entry["fault"] not in FAULT_KINDS:
             raise MalformedBackendReply(
                 f"fixture entry {key!r} has unknown fault {entry['fault']!r}"

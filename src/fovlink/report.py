@@ -29,14 +29,14 @@ from .experiments import (
     PromptComparison,
     RunResult,
     analyze_run_consistency,
+    binary_result,
+    localization_result,
 )
 from .geometry import NormalizedBBox
 from .parsing import DetectionKind, FailureKind, ParsedDetection
-from .stats import (
-    STAT_NAMES,
-    ConfusionMatrix,
-    DetectionStats,
-    LocalizationSummary,
+from .stats import STAT_NAMES, ConfusionMatrix, DetectionStats, LocalizationSummary
+# bench/spans.py traces the statistics under these names
+from .stats import (  # noqa: F401
     build_confusion_matrix,
     derive_detection_stats,
     summarize_localization,
@@ -47,26 +47,43 @@ log = logging.getLogger(__name__)
 
 RENDER_TARGETS = ("csv", "records", "svg")
 
-RESULT_RECORD_FIELDS = (
-    "scene_id",
-    "prompt_id",
-    "run_idx",
-    "outcome",
-    "verdict",
-    "label",
-    "scene_lowlight",
-    "box",
-    "box_clamped",
-    "box_degenerate",
-    "failure_kind",
-    "coerced",
-    "fault",
-    "latency",
-    "raw_text",
-    "overlap",
-    "recall",
-    "iou",
-)
+_NULL = type(None)
+_NUMBER = (int, float)
+
+# field -> the JSON types its value may have (docs/schemas.md); checked
+# with type(), so a bool is never taken for a number
+_RECORD_TYPES = {
+    "scene_id": (str,),
+    "prompt_id": (str,),
+    "run_idx": (int,),
+    "outcome": (str,),
+    "verdict": (bool, _NULL),
+    "label": (bool, _NULL),
+    "scene_lowlight": (bool, _NULL),
+    "box": (list, _NULL),
+    "box_clamped": (bool, _NULL),
+    "box_degenerate": (bool, _NULL),
+    "failure_kind": (str, _NULL),
+    "coerced": (bool,),
+    "fault": (str, _NULL),
+    "latency": _NUMBER,
+    "raw_text": (str,),
+    "overlap": (bool, _NULL),
+    "recall": (*_NUMBER, _NULL),
+    "iou": (*_NUMBER, _NULL),
+}
+
+RESULT_RECORD_FIELDS = tuple(_RECORD_TYPES)
+
+_ABSENT = object()
+_FAILURE_KINDS = frozenset(kind.value for kind in FailureKind)
+# outcome -> the field its detection is rebuilt from
+_OUTCOME_NEEDS = {"fault": None, "verdict": "verdict", "located": "box", "failure": "failure_kind"}
+
+# (summary CSV, records file) of a localization run (exp2) and of a prompt
+# comparison (exp3); only exp2 adds failures.csv
+_LOCALIZATION_FILES = ("localization_summary.csv", "localization_results.jsonl")
+_COMPARISON_FILES = ("prompt_comparison.csv", "comparison_results.jsonl")
 
 
 class ReportError(FovlinkError):
@@ -145,56 +162,81 @@ def result_to_record(
     }
 
 
+def _check_record(record) -> None:
+    """Raise ReportError unless ``record`` is a result record of the documented shape."""
+    if type(record) is not dict:
+        raise ReportError("result record is not a JSON object")
+    for name, types in _RECORD_TYPES.items():
+        value = record.get(name, _ABSENT)
+        if type(value) not in types:
+            if value is _ABSENT:
+                raise ReportError(f"result record missing field {name!r}")
+            raise ReportError(f"field {name!r} has type {type(value).__name__}")
+    box, failure_kind = record["box"], record["failure_kind"]
+    if box is not None and (len(box) != 4 or not all(type(v) in _NUMBER for v in box)):
+        raise ReportError("field 'box' must be four numbers")
+    if failure_kind is not None and failure_kind not in _FAILURE_KINDS:
+        raise ReportError(f"unknown failure_kind {failure_kind!r}")
+    outcome = record["outcome"]
+    if outcome not in _OUTCOME_NEEDS:
+        raise ReportError(f"unknown outcome {outcome!r}")
+    needed = _OUTCOME_NEEDS[outcome]
+    if needed is not None and record[needed] is None:
+        raise ReportError(f"{outcome} record has no {needed}")
+
+
 def record_to_result(record: dict) -> tuple[RunResult, LocalizationSample | None]:
     """Inverse of result_to_record, used by the report re-rendering path."""
-    missing = [f for f in RESULT_RECORD_FIELDS if f not in record]
-    if missing:
-        raise ReportError(f"result record missing fields: {missing}")
-    outcome = record["outcome"]
-    detection: ParsedDetection | None
-    if outcome == "fault":
-        detection = None
-    elif outcome == DetectionKind.VERDICT.value:
-        detection = ParsedDetection(
-            kind=DetectionKind.VERDICT,
-            verdict=record["verdict"],
-            raw_excerpt=record["raw_text"][:200],
-            coerced=record["coerced"],
-        )
-    elif outcome == DetectionKind.LOCATED.value:
-        x, y, x2, y2 = record["box"]
-        detection = ParsedDetection(
-            kind=DetectionKind.LOCATED,
-            box=NormalizedBBox(x, y, x2, y2, clamped=record["box_clamped"]),
-            raw_excerpt=record["raw_text"][:200],
-        )
-    elif outcome == DetectionKind.FAILURE.value:
-        detection = ParsedDetection(
-            kind=DetectionKind.FAILURE,
-            failure_kind=FailureKind(record["failure_kind"]),
-            raw_excerpt=record["raw_text"][:200],
-        )
-    else:
-        raise ReportError(f"unknown outcome {outcome!r}")
-    result = RunResult(
-        scene_id=record["scene_id"],
-        prompt_id=record["prompt_id"],
-        run_idx=record["run_idx"],
-        detection=detection,
-        latency=record["latency"],
-        raw_text=record["raw_text"],
-        fault=record["fault"],
-    )
-    sample = None
-    if record["overlap"] is not None:
-        sample = LocalizationSample(
+    try:
+        outcome = record["outcome"]
+        detection: ParsedDetection | None
+        if outcome == "fault":
+            detection = None
+        elif outcome == DetectionKind.VERDICT:
+            detection = ParsedDetection(
+                kind=DetectionKind.VERDICT,
+                verdict=record["verdict"],
+                raw_excerpt=record["raw_text"][:200],
+                coerced=record["coerced"],
+            )
+        elif outcome == DetectionKind.LOCATED:
+            x, y, x2, y2 = record["box"]
+            detection = ParsedDetection(
+                kind=DetectionKind.LOCATED,
+                box=NormalizedBBox(x, y, x2, y2, clamped=record["box_clamped"]),
+                raw_excerpt=record["raw_text"][:200],
+            )
+        elif outcome == DetectionKind.FAILURE:
+            detection = ParsedDetection(
+                kind=DetectionKind.FAILURE,
+                failure_kind=FailureKind(record["failure_kind"]),
+                raw_excerpt=record["raw_text"][:200],
+            )
+        else:
+            raise ReportError(f"unknown outcome {outcome!r}")
+        result = RunResult(
             scene_id=record["scene_id"],
+            prompt_id=record["prompt_id"],
             run_idx=record["run_idx"],
-            overlap=record["overlap"],
-            recall=record["recall"],
-            iou=record["iou"],
-            failure_kind=None if record["failure_kind"] is None else FailureKind(record["failure_kind"]),
+            detection=detection,
+            latency=record["latency"],
+            raw_text=record["raw_text"],
+            fault=record["fault"],
         )
+        sample = None
+        if record["overlap"] is not None:
+            sample = LocalizationSample(
+                scene_id=record["scene_id"],
+                run_idx=record["run_idx"],
+                overlap=record["overlap"],
+                recall=record["recall"],
+                iou=record["iou"],
+                failure_kind=None if record["failure_kind"] is None else FailureKind(record["failure_kind"]),
+            )
+    except KeyError as e:
+        raise ReportError(f"result record missing field {e}") from None
+    except (TypeError, ValueError) as e:
+        raise ReportError(f"malformed result record: {e}") from e
     return result, sample
 
 
@@ -383,21 +425,50 @@ def _iou_share_svg(ious: list[float]) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _scene_field(mapping: dict[str, bool] | None, scene_id: str) -> bool | None:
-    return None if mapping is None else mapping.get(scene_id)
-
-
-def _localization_records(result: LocalizationExperimentResult, bundle: ReportBundle) -> list[dict]:
-    sample_by_key = {(s.scene_id, s.run_idx): s for s in result.samples}
+def _records(
+    results: tuple[RunResult, ...],
+    bundle: ReportBundle,
+    samples: tuple[LocalizationSample, ...] = (),
+) -> list[dict]:
+    sample_by_key = {(s.scene_id, s.run_idx): s for s in samples}
+    labels, lowlight = bundle.labels or {}, bundle.lowlight or {}
     return [
         result_to_record(
             r,
             sample_by_key.get((r.scene_id, r.run_idx)),
-            _scene_field(bundle.labels, r.scene_id),
-            _scene_field(bundle.lowlight, r.scene_id),
+            labels.get(r.scene_id),
+            lowlight.get(r.scene_id),
         )
-        for r in result.results
+        for r in results
     ]
+
+
+def _emit_localization(
+    comparison: PromptComparison,
+    files: tuple[str, str],
+    bundle: ReportBundle,
+    resolved: set[str],
+    out: Path,
+) -> list[Path]:
+    """Summary CSV, records and charts of localization runs, one per prompt."""
+    summary_name, records_name = files
+    runs = [comparison.runs[pid] for pid in comparison.prompt_ids]
+    written = []
+    if "csv" in resolved:
+        written.append(_write(out / summary_name, _summary_csv(comparison.summary_table())))
+    if "records" in resolved:
+        records = [record for run in runs for record in _records(run.results, bundle, run.samples)]
+        written.append(_write_records(out / records_name, records))
+    if "svg" in resolved:
+        groups = [
+            (pid, [s.recall for s in run.samples]) for pid, run in zip(comparison.prompt_ids, runs)
+        ]
+        if any(values for _, values in groups):
+            written.append(_write(out / "recall_distribution.svg", _recall_boxplot_svg(groups)))
+        overlapping = [s.iou for run in runs for s in run.samples if s.overlap]
+        if overlapping:
+            written.append(_write(out / "iou_shares.svg", _iou_share_svg(overlapping)))
+    return written
 
 
 def emit_report(bundle: ReportBundle, targets, out_dir: str | Path) -> list[Path]:
@@ -421,73 +492,21 @@ def emit_report(bundle: ReportBundle, targets, out_dir: str | Path) -> list[Path
                 )
             )
         if "records" in resolved:
-            records = [
-                result_to_record(
-                    r,
-                    None,
-                    _scene_field(bundle.labels, r.scene_id),
-                    _scene_field(bundle.lowlight, r.scene_id),
-                )
-                for r in b.results
-            ]
+            records = _records(b.results, bundle)
             written.append(_write_records(out / "binary_results.jsonl", records))
 
     if bundle.localization is not None:
+        # exp2 is a prompt comparison over its one prompt
         loc = bundle.localization
         prompt_id = loc.results[0].prompt_id if loc.results else "P?"
+        single = PromptComparison(prompt_ids=(prompt_id,), runs={prompt_id: loc})
+        written += _emit_localization(single, _LOCALIZATION_FILES, bundle, resolved, out)
         if "csv" in resolved:
-            written.append(
-                _write(out / "localization_summary.csv", _summary_csv([(prompt_id, loc.summary)]))
-            )
-            written.append(
-                _write(
-                    out / "failures.csv",
-                    _failures_csv(list(loc.samples), bundle.lowlight_share),
-                )
-            )
-        if "records" in resolved:
-            written.append(
-                _write_records(
-                    out / "localization_results.jsonl",
-                    _localization_records(loc, bundle),
-                )
-            )
-        if "svg" in resolved and loc.samples:
-            recalls = [s.recall for s in loc.samples]
-            written.append(
-                _write(out / "recall_distribution.svg", _recall_boxplot_svg([(prompt_id, recalls)]))
-            )
-            overlapping = [s.iou for s in loc.samples if s.overlap]
-            if overlapping:
-                written.append(_write(out / "iou_shares.svg", _iou_share_svg(overlapping)))
+            failures = _failures_csv(list(loc.samples), bundle.lowlight_share)
+            written.append(_write(out / "failures.csv", failures))
 
     if bundle.comparison is not None:
-        comp = bundle.comparison
-        if "csv" in resolved:
-            written.append(
-                _write(
-                    out / "prompt_comparison.csv",
-                    _summary_csv([(pid, comp.runs[pid].summary) for pid in comp.prompt_ids]),
-                )
-            )
-        if "records" in resolved:
-            records = []
-            for pid in comp.prompt_ids:
-                records.extend(_localization_records(comp.runs[pid], bundle))
-            written.append(_write_records(out / "comparison_results.jsonl", records))
-        if "svg" in resolved:
-            groups = [
-                (pid, [s.recall for s in comp.runs[pid].samples]) for pid in comp.prompt_ids
-            ]
-            if any(values for _, values in groups):
-                written.append(
-                    _write(out / "recall_distribution.svg", _recall_boxplot_svg(groups))
-                )
-            overlapping = [
-                s.iou for pid in comp.prompt_ids for s in comp.runs[pid].samples if s.overlap
-            ]
-            if overlapping:
-                written.append(_write(out / "iou_shares.svg", _iou_share_svg(overlapping)))
+        written += _emit_localization(bundle.comparison, _COMPARISON_FILES, bundle, resolved, out)
 
     if bundle.consistency is not None and "csv" in resolved:
         written.append(_write(out / "consistency.csv", _consistency_csv(bundle.consistency)))
@@ -523,49 +542,19 @@ def _load_records(path: Path) -> list[dict]:
         if not line.strip():
             continue
         try:
-            records.append(json.loads(line))
+            record = json.loads(line)
         except json.JSONDecodeError as e:
             raise ReportError(f"{path.name} line {line_no}: invalid JSON ({e.msg})") from e
+        try:
+            _check_record(record)
+        except ReportError as e:
+            raise ReportError(f"{path.name} line {line_no}: {e}") from None
+        records.append(record)
     return records
 
 
-def rebuild_binary(records: list[dict]) -> tuple[BinaryExperimentResult, dict[str, bool]]:
-    """Reconstruct a binary experiment from its emitted records."""
-    results = []
-    labels: dict[str, bool] = {}
-    for record in records:
-        result, _ = record_to_result(record)
-        results.append(result)
-        if record["label"] is not None:
-            labels[record["scene_id"]] = record["label"]
-    results.sort(key=lambda r: (r.scene_id, r.prompt_id, r.run_idx))
-    n_runs = max((r.run_idx for r in results), default=-1) + 1
-    label_pairs = sorted(labels.items())
-    matrices = []
-    for run_idx in range(n_runs):
-        predictions = [
-            (r.scene_id, r.detection.verdict)
-            for r in results
-            if r.run_idx == run_idx
-            and r.detection is not None
-            and r.detection.verdict is not None
-        ]
-        matrices.append(build_confusion_matrix(predictions, label_pairs))
-    per_run_stats = tuple(derive_detection_stats(m) for m in matrices)
-    return (
-        BinaryExperimentResult(
-            results=tuple(results),
-            matrix=matrices[0],
-            stats=per_run_stats[0],
-            per_run_matrices=tuple(matrices),
-            per_run_stats=per_run_stats,
-        ),
-        labels,
-    )
-
-
-def rebuild_localization(records: list[dict]) -> LocalizationExperimentResult:
-    """Reconstruct a localization experiment from its emitted records."""
+def _decode(records: list[dict]) -> tuple[tuple[RunResult, ...], tuple[LocalizationSample, ...]]:
+    """Results and samples of ``records``, in the order the experiments produce them."""
     results = []
     samples = []
     for record in records:
@@ -575,12 +564,22 @@ def rebuild_localization(records: list[dict]) -> LocalizationExperimentResult:
             samples.append(sample)
     results.sort(key=lambda r: (r.scene_id, r.prompt_id, r.run_idx))
     samples.sort(key=lambda s: (s.scene_id, s.run_idx))
-    summary = summarize_localization(
-        [(s.scene_id, s.run_idx, s.overlap, s.recall, s.iou) for s in samples]
-    )
-    return LocalizationExperimentResult(
-        results=tuple(results), samples=tuple(samples), summary=summary
-    )
+    return tuple(results), tuple(samples)
+
+
+def rebuild_binary(records: list[dict]) -> tuple[BinaryExperimentResult, dict[str, bool]]:
+    """Reconstruct a binary experiment from its emitted records."""
+    if not records:
+        raise ReportError("no binary result records")
+    results, _ = _decode(records)
+    labels = {r["scene_id"]: r["label"] for r in records if r["label"] is not None}
+    n_runs = max(r.run_idx for r in results) + 1
+    return binary_result(results, sorted(labels.items()), n_runs), labels
+
+
+def rebuild_localization(records: list[dict]) -> LocalizationExperimentResult:
+    """Reconstruct a localization experiment from its emitted records."""
+    return localization_result(*_decode(records))
 
 
 def rebuild_comparison(records: list[dict]) -> PromptComparison:
@@ -628,6 +627,14 @@ def lowlight_share_from_records(records: list[dict]) -> float | None:
     return sum(failure_scenes.values()) / len(failure_scenes)
 
 
+def consistency_or_none(results) -> list[ConsistencyRecord] | None:
+    """Run consistency of ``results``, or None when no key ran twice."""
+    try:
+        return analyze_run_consistency(results)
+    except InsufficientRuns:
+        return None
+
+
 def rerender(in_dir: str | Path, targets) -> list[Path]:
     """Re-render reports from the record files found in ``in_dir``.
 
@@ -638,42 +645,31 @@ def rerender(in_dir: str | Path, targets) -> list[Path]:
     if not in_path.is_dir():
         raise ReportError(f"input directory not found: {in_path}")
     bundle_kwargs: dict = {}
+    labels: dict[str, bool] = {}
+    lowlight: dict[str, bool] = {}
     all_results: list[RunResult] = []
 
-    def absorb_scene_maps(records: list[dict]) -> None:
-        labels = bundle_kwargs.setdefault("labels", {})
-        lowlight = bundle_kwargs.setdefault("lowlight", {})
+    # built per call so the rebuild functions are looked up when they run
+    sources = (
+        ("binary", "binary_results.jsonl", lambda records: rebuild_binary(records)[0]),
+        ("localization", _LOCALIZATION_FILES[1], rebuild_localization),
+        ("comparison", _COMPARISON_FILES[1], rebuild_comparison),
+    )
+    for part, name, rebuild in sources:
+        path = in_path / name
+        if not path.is_file():
+            continue
+        records = _load_records(path)
+        outcome = rebuild(records)
+        bundle_kwargs[part] = outcome
+        all_results.extend(outcome.results)
         for r in records:
             if r["label"] is not None:
                 labels[r["scene_id"]] = r["label"]
             if r["scene_lowlight"] is not None:
                 lowlight[r["scene_id"]] = r["scene_lowlight"]
-
-    binary_path = in_path / "binary_results.jsonl"
-    if binary_path.is_file():
-        records = _load_records(binary_path)
-        outcome, _ = rebuild_binary(records)
-        bundle_kwargs["binary"] = outcome
-        absorb_scene_maps(records)
-        all_results.extend(outcome.results)
-
-    loc_path = in_path / "localization_results.jsonl"
-    if loc_path.is_file():
-        records = _load_records(loc_path)
-        outcome = rebuild_localization(records)
-        bundle_kwargs["localization"] = outcome
-        bundle_kwargs["lowlight_share"] = lowlight_share_from_records(records)
-        absorb_scene_maps(records)
-        all_results.extend(outcome.results)
-
-    comp_path = in_path / "comparison_results.jsonl"
-    if comp_path.is_file():
-        records = _load_records(comp_path)
-        comparison = rebuild_comparison(records)
-        bundle_kwargs["comparison"] = comparison
-        absorb_scene_maps(records)
-        for pid in comparison.prompt_ids:
-            all_results.extend(comparison.runs[pid].results)
+        if part == "localization":
+            bundle_kwargs["lowlight_share"] = lowlight_share_from_records(records)
 
     transcript_path = in_path / "v2v_transcript.jsonl"
     if transcript_path.is_file():
@@ -684,8 +680,7 @@ def rerender(in_dir: str | Path, targets) -> list[Path]:
     if not bundle_kwargs:
         raise ReportError(f"no recognized result files in {in_path}")
     if all_results:
-        try:
-            bundle_kwargs["consistency"] = analyze_run_consistency(all_results)
-        except InsufficientRuns:
-            pass
+        bundle_kwargs.update(
+            labels=labels, lowlight=lowlight, consistency=consistency_or_none(all_results)
+        )
     return emit_report(ReportBundle(**bundle_kwargs), targets, in_path)

@@ -18,16 +18,19 @@ analytic transmission delays, never wall-clock.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
 from .dataset import SceneSet
 from .errors import FovlinkError
-from .gateway import Gateway, GatewayError, QueryParams, UnscriptedKey
+from .experiments import query_detection
+from .gateway import Gateway, QueryParams
 from .geometry import NormalizedBBox
-from .parsing import DetectionKind, FailureKind, ParsedDetection, detect_bbox, detect_binary
-from .prompts import ExpectedFormat, get_prompt
+from .parsing import DetectionKind, FailureKind, ParsedDetection
+# bench/spans.py traces the parsers under these names
+from .parsing import detect_bbox, detect_binary  # noqa: F401
+from .prompts import get_prompt
 
 PROTOCOL_VERSION = "1"
 
@@ -320,15 +323,7 @@ def compare_transport(
     image_sizes: list[int], transcript: DialogueTranscript, link: LinkModel
 ) -> TransportComparison:
     """Dialogue cost versus streaming the given raw images over ``link``."""
-    stream_bytes = sum(image_sizes)
-    ratio = transcript.dialogue_bytes / stream_bytes if stream_bytes > 0 else None
-    return TransportComparison(
-        stream_bytes=stream_bytes,
-        stream_time=transmission_time(stream_bytes, link),
-        dialogue_bytes=transcript.dialogue_bytes,
-        dialogue_time=transmission_time(transcript.dialogue_bytes, link),
-        ratio=ratio,
-    )
+    return replace(transcript, link=link, stream_bytes=sum(image_sizes)).comparison()
 
 
 def _response_payload(detection: ParsedDetection) -> ResponsePayload:
@@ -405,37 +400,20 @@ def run_dialogue(
 
         image = scene.image_path.read_bytes()
         stream_bytes += len(image)
-        try:
-            response = gateway.send_vision_query(
-                image, prompt.text, params, key=(scene.scene_id, prompt.prompt_id, 0)
-            )
-        except UnscriptedKey:
-            raise
-        except GatewayError as e:
-            push(
-                V2VMessage(
-                    msg_type=MsgType.ERROR,
-                    sender_id=remote.vehicle_id,
-                    recipient_id=ego.vehicle_id,
-                    correlation_id=correlation_id,
-                    timestamp=int(clock * 1000),
-                    payload=ErrorPayload(fault=f"{type(e).__name__}: {e}"),
-                )
-            )
-            continue
-        clock += response.latency
-        if prompt.expected_format is ExpectedFormat.YES_NO:
-            detection = detect_binary(response.text)
+        result = query_detection(image, scene.scene_id, prompt, 0, gateway, params)
+        clock += result.latency
+        if result.fault is None:
+            msg_type, payload = MsgType.RESPONSE, _response_payload(result.detection)
         else:
-            detection = detect_bbox(response.text)
+            msg_type, payload = MsgType.ERROR, ErrorPayload(fault=result.fault)
         push(
             V2VMessage(
-                msg_type=MsgType.RESPONSE,
+                msg_type=msg_type,
                 sender_id=remote.vehicle_id,
                 recipient_id=ego.vehicle_id,
                 correlation_id=correlation_id,
                 timestamp=int(clock * 1000),
-                payload=_response_payload(detection),
+                payload=payload,
             )
         )
 

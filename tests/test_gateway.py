@@ -89,11 +89,20 @@ class TestMockBackend:
 
     @pytest.mark.parametrize(
         "entry",
-        [{"text": "a", "fault": "timeout"}, {}, {"fault": "weird"}],
+        [{"text": "a", "fault": "timeout"}, {}, {"fault": "weird"}, {"text": 5}],
     )
     def test_fixture_loader_rejects_bad_entries(self, tmp_path, entry):
         path = tmp_path / "fixture.json"
         path.write_text(json.dumps({"k": entry}), encoding="utf-8")
+        with pytest.raises(MalformedBackendReply):
+            load_mock_fixture(path)
+
+    @pytest.mark.parametrize(
+        "raw", [b'{"k": {"text": "yes"}', b"\xff\xfe not utf-8"], ids=["truncated", "not-utf8"]
+    )
+    def test_fixture_loader_rejects_unreadable_json(self, tmp_path, raw):
+        path = tmp_path / "fixture.json"
+        path.write_bytes(raw)
         with pytest.raises(MalformedBackendReply):
             load_mock_fixture(path)
 

@@ -1,9 +1,15 @@
 from __future__ import annotations
 
 import json
+import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fovlink.cli import EXIT_DATA, EXIT_OK, main
 from fovlink.dataset import load_manifest
 from fovlink.experiments import (
     BinaryExperimentResult,
@@ -30,7 +36,7 @@ from fovlink.report import (
 from fovlink.stats import ConfusionMatrix, derive_detection_stats
 from fovlink.v2v import LinkModel, Role, VehicleAgent, run_dialogue
 
-from conftest import script_key
+from conftest import scene_line, script_key, write_fixture, write_manifest
 from test_experiments import GT_TEMPLATE, binary_script, localization_script
 
 CONFIG = ExperimentConfig(runs_per_prompt=2, params=QueryParams(backoff_base=0.0))
@@ -236,3 +242,140 @@ class TestRerender:
     def test_rerender_missing_dir(self, tmp_path):
         with pytest.raises(ReportError):
             rerender(tmp_path / "ghost", ["csv"])
+
+
+# one positive per reply kind, so the records hold every outcome
+_MIXED_REPLIES = (
+    GT_TEMPLATE,
+    "I cannot identify any pedestrian in this image.",
+    "(0.41,0.42), (0.6",
+    "A person stands near the parked car.",
+    None,  # scripted gateway fault
+)
+RECORD_FILES = ("binary_results.jsonl", "localization_results.jsonl", "comparison_results.jsonl")
+
+
+@pytest.fixture(scope="module")
+def record_dirs(tmp_path_factory):
+    """exp1, exp2 and exp3 output directories whose records cover every outcome."""
+    root = tmp_path_factory.mktemp("records")
+    positives = [f"pos_{i}" for i in range(len(_MIXED_REPLIES))]
+    lines = [
+        scene_line(s, positive=True, tags=["dusk"] if i % 2 else []) for i, s in enumerate(positives)
+    ]
+    lines += [scene_line("neg_a", positive=False), scene_line("neg_b", positive=False)]
+    manifest = write_manifest(root, lines)
+    script = {}
+    for run_idx in range(2):
+        for prompt_id in ("P1", "P2"):
+            for scene_id, reply in zip(positives, _MIXED_REPLIES):
+                entry = {"fault": "transport"} if reply is None else {"text": reply}
+                script[script_key(scene_id, prompt_id, run_idx)] = entry
+        answers = ["yes", "maybe", None, "yes", "no", "no", "yes"]  # None: scripted fault
+        for scene_id, answer in zip([*positives, "neg_a", "neg_b"], answers):
+            entry = {"fault": "timeout"} if answer is None else {"text": answer}
+            script[script_key(scene_id, "BIN", run_idx)] = entry
+    fixture = write_fixture(root, script)
+    common = ["--manifest", manifest, "--fixture", fixture, "--runs", "2", "--retries", "0"]
+    dirs = {}
+    for name, argv in (
+        ("binary_results.jsonl", ["exp1"]),
+        ("localization_results.jsonl", ["exp2"]),
+        ("comparison_results.jsonl", ["exp3", "--prompts", "P1,P2"]),
+    ):
+        dirs[name] = root / argv[0]
+        assert main([*map(str, argv + common), "--out", str(dirs[name])]) == EXIT_OK
+    return dirs
+
+
+class TestMalformedRecords:
+    def test_empty_binary_records_file_is_a_report_error(self, record_dirs, tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(record_dirs["binary_results.jsonl"], out)
+        (out / "binary_results.jsonl").write_text("", encoding="utf-8")
+        with pytest.raises(ReportError, match="no binary result records"):
+            rerender(out, ["csv"])
+        assert main(["report", "--in", str(out)]) == EXIT_DATA
+
+    @pytest.mark.parametrize(
+        "name,outcome,field,value,reason",
+        [
+            ("localization_results.jsonl", "located", "box", [0.1, 0.2], "four numbers"),
+            ("localization_results.jsonl", "failure", "failure_kind", "Bogus", "unknown failure_kind"),
+            ("binary_results.jsonl", "verdict", "raw_text", 5, "'raw_text' has type int"),
+        ],
+    )
+    def test_bad_field_names_file_and_line(self, record_dirs, tmp_path, name, outcome, field, value, reason):
+        out = tmp_path / "out"
+        shutil.copytree(record_dirs[name], out)
+        records = [json.loads(line) for line in (out / name).read_text(encoding="utf-8").splitlines()]
+        index = next(i for i, r in enumerate(records) if r["outcome"] == outcome)
+        records[index][field] = value
+        (out / name).write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        with pytest.raises(ReportError, match=f"{name} line {index + 1}: .*{reason}"):
+            rerender(out, ["csv"])
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"outcome": "located", "box": [0.1, 0.2], "raw_text": ""},
+            {"outcome": "failure", "failure_kind": "Bogus", "raw_text": ""},
+            {"outcome": "verdict", "verdict": True, "raw_text": 5},
+        ],
+    )
+    def test_record_to_result_raises_report_error(self, fields):
+        with pytest.raises(ReportError):
+            record_to_result({**dict.fromkeys(RESULT_RECORD_FIELDS), **fields})
+
+
+# JSON types each record field may hold (docs/schemas.md); a swap picks a
+# value of any other type
+_FIELD_TYPES = {
+    "scene_id": {"str"},
+    "prompt_id": {"str"},
+    "run_idx": {"int"},
+    "outcome": {"str"},
+    "verdict": {"bool", "null"},
+    "label": {"bool", "null"},
+    "scene_lowlight": {"bool", "null"},
+    "box": {"list", "null"},
+    "box_clamped": {"bool", "null"},
+    "box_degenerate": {"bool", "null"},
+    "failure_kind": {"str", "null"},
+    "coerced": {"bool"},
+    "fault": {"str", "null"},
+    "latency": {"int", "float"},
+    "raw_text": {"str"},
+    "overlap": {"bool", "null"},
+    "recall": {"int", "float", "null"},
+    "iou": {"int", "float", "null"},
+}
+_SWAP_VALUES = {"str": "x", "int": 7, "float": 0.5, "bool": True, "null": None, "list": [0.5], "dict": {"k": 1}}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_report_over_a_corrupted_record_exits_2(record_dirs, data):
+    name = data.draw(st.sampled_from(RECORD_FILES))
+    lines = (record_dirs[name] / name).read_text(encoding="utf-8").splitlines()
+    index = data.draw(st.integers(0, len(lines) - 1))
+    record = json.loads(lines[index])
+    field = data.draw(st.sampled_from(RESULT_RECORD_FIELDS))
+    mutation = data.draw(st.sampled_from(("swap", "delete", "truncate")))
+    if mutation == "swap":
+        kind = data.draw(st.sampled_from(sorted(set(_SWAP_VALUES) - _FIELD_TYPES[field])))
+        record[field] = _SWAP_VALUES[kind]
+        lines[index] = json.dumps(record)
+    elif mutation == "delete":
+        del record[field]
+        lines[index] = json.dumps(record)
+    elif isinstance(record["box"], list) and data.draw(st.booleans()):
+        record["box"] = record["box"][: data.draw(st.integers(0, 3))]
+        lines[index] = json.dumps(record)
+    else:
+        lines[index] = lines[index][: data.draw(st.integers(1, len(lines[index]) - 1))]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        shutil.copytree(record_dirs[name], out)
+        (out / name).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        assert main(["report", "--in", str(out)]) == EXIT_DATA
