@@ -1,8 +1,8 @@
 """Command-line front-end for the experiments and the V2V simulation.
 
 Exit codes: 0 success, 1 usage error, 2 data/schema error, 3 backend
-exhaustion. A mock fixture key without a scripted entry counts as a data
-error (2), not a backend failure.
+exhaustion. A malformed mock fixture, or a fixture key without a scripted
+entry, counts as a data error (2), not a backend failure.
 """
 
 from __future__ import annotations
@@ -23,7 +23,15 @@ from .experiments import (
     run_localization_experiment,
     run_prompt_comparison,
 )
-from .gateway import Gateway, GatewayError, LiveBackend, MockBackend, QueryParams, UnscriptedKey
+from .gateway import (
+    Gateway,
+    GatewayError,
+    LiveBackend,
+    MalformedBackendReply,
+    MockBackend,
+    QueryParams,
+    UnscriptedKey,
+)
 from .prompts import UnknownPromptId
 from .report import ReportBundle, consistency_or_none, emit_report, normalize_targets, rerender
 from .v2v import load_scenario, run_dialogue
@@ -34,6 +42,29 @@ EXIT_DATA = 2
 EXIT_BACKEND = 3
 
 DEFAULT_TARGETS = ("csv", "records", "svg")
+
+
+class _FixtureError(FovlinkError):
+    """The mock fixture file could not be loaded."""
+
+
+def _bounded(convert, rule: str, ok):
+    """argparse type: ``convert`` the text, then reject values that break ``rule``."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_AT_LEAST_ONE = _bounded(int, ">= 1", lambda v: v >= 1)
+_NON_NEGATIVE_INT = _bounded(int, ">= 0", lambda v: v >= 0)
+_NON_NEGATIVE_FLOAT = _bounded(float, ">= 0", lambda v: v >= 0)
+_POSITIVE_FLOAT = _bounded(float, "> 0", lambda v: v > 0)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,11 +80,11 @@ def _build_parser() -> _Parser:
     shared.add_argument("--backend", choices=("live", "mock"), default="mock")
     shared.add_argument("--fixture", type=Path, help="mock reply script (JSON)")
     shared.add_argument("--model", default="gpt-4o", help="model name for live mode")
-    shared.add_argument("--parallelism", type=int, default=1)
-    shared.add_argument("--max-tokens", type=int, default=300)
-    shared.add_argument("--temperature", type=float, default=0.0)
-    shared.add_argument("--timeout", type=float, default=60.0)
-    shared.add_argument("--retries", type=int, default=2)
+    shared.add_argument("--parallelism", type=_AT_LEAST_ONE, default=1)
+    shared.add_argument("--max-tokens", type=_AT_LEAST_ONE, default=300)
+    shared.add_argument("--temperature", type=_NON_NEGATIVE_FLOAT, default=0.0)
+    shared.add_argument("--timeout", type=_POSITIVE_FLOAT, default=60.0)
+    shared.add_argument("--retries", type=_NON_NEGATIVE_INT, default=2)
 
     parser = _Parser(prog="fovlink", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -61,19 +92,19 @@ def _build_parser() -> _Parser:
     exp1 = sub.add_parser("exp1", parents=[shared], help="binary pedestrian detection")
     exp1.add_argument("--manifest", type=Path, required=True)
     exp1.add_argument("--prompt", default="BIN", help="BIN or BIN_REFINED")
-    exp1.add_argument("--runs", type=int, default=3)
+    exp1.add_argument("--runs", type=_AT_LEAST_ONE, default=3)
     exp1.add_argument("--out", type=Path, required=True)
 
     exp2 = sub.add_parser("exp2", parents=[shared], help="bounding-box localization")
     exp2.add_argument("--manifest", type=Path, required=True)
     exp2.add_argument("--prompt", default="P1")
-    exp2.add_argument("--runs", type=int, default=3)
+    exp2.add_argument("--runs", type=_AT_LEAST_ONE, default=3)
     exp2.add_argument("--out", type=Path, required=True)
 
     exp3 = sub.add_parser("exp3", parents=[shared], help="prompt comparison")
     exp3.add_argument("--manifest", type=Path, required=True)
     exp3.add_argument("--prompts", default="P1,P2,P3", help="comma-separated prompt ids")
-    exp3.add_argument("--runs", type=int, default=3)
+    exp3.add_argument("--runs", type=_AT_LEAST_ONE, default=3)
     exp3.add_argument("--out", type=Path, required=True)
 
     v2v = sub.add_parser("v2v", parents=[shared], help="vehicle dialogue simulation")
@@ -90,7 +121,10 @@ def _build_parser() -> _Parser:
 
 def _make_gateway(args) -> Gateway:
     if args.backend == "mock":
-        return Gateway(MockBackend.from_file(args.fixture))
+        try:
+            return Gateway(MockBackend.from_file(args.fixture))
+        except MalformedBackendReply as e:
+            raise _FixtureError(str(e)) from e
     return Gateway(LiveBackend())
 
 
@@ -203,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
         for path in _COMMANDS[args.command](args):
             print(f"wrote {path}")
         return EXIT_OK
-    except UnscriptedKey as e:
+    except (_FixtureError, UnscriptedKey) as e:
         print(f"fovlink: fixture error: {e}", file=sys.stderr)
         return EXIT_DATA
     except (GatewayError, AllScenesFailed) as e:

@@ -6,17 +6,21 @@ bounding box over the positives and scores the three localization
 measures. Experiment 3 repeats experiment 2 across the registered
 coordinate prompts for a comparative table.
 
-Queries may be dispatched concurrently; results are keyed and sorted by
+The dispatch unit is one scene: a task reads the scene's frame once and
+asks every (prompt, run) of the experiment about it, so experiment 3
+reads each positive once for all its prompts. Tasks may run on a thread
+pool, holding one frame per worker. Each prompt's results are sorted by
 (scene_id, prompt_id, run_idx) so output never depends on completion
 order. Per-scene gateway faults become recorded fault results; a run
-aborts only when every scene failed.
+aborts only when every scene failed for a prompt, or for one run of
+experiment 1.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 
 from . import stats as stats_mod
 from .dataset import SceneRecord, SceneSet
@@ -170,28 +174,35 @@ def query_detection(
 
 def _dispatch(
     scenes: list[SceneRecord],
-    prompt: PromptSpec,
+    prompts: tuple[PromptSpec, ...],
     gateway: Gateway,
     config: ExperimentConfig,
-) -> tuple[RunResult, ...]:
+) -> dict[str, tuple[RunResult, ...]]:
+    """Every (scene, prompt, run) query, one task per scene; results per prompt id."""
     if not scenes:
         raise ExperimentPrecondition("experiment invoked with zero scenes")
 
-    def query(task: tuple[SceneRecord, int]) -> RunResult:
-        scene, run_idx = task
+    def query_scene(scene: SceneRecord) -> list[RunResult]:
         image = scene.image_path.read_bytes()
-        return query_detection(image, scene.scene_id, prompt, run_idx, gateway, config.params)
+        return [
+            query_detection(image, scene.scene_id, prompt, run_idx, gateway, config.params)
+            for prompt in prompts
+            for run_idx in range(config.runs_per_prompt)
+        ]
 
-    tasks = [(scene, run_idx) for scene in scenes for run_idx in range(config.runs_per_prompt)]
     if config.parallelism == 1:
-        results = [query(task) for task in tasks]
+        per_scene = [query_scene(scene) for scene in scenes]
     else:
         with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            results = list(pool.map(query, tasks))
-    results.sort(key=lambda r: (r.scene_id, r.prompt_id, r.run_idx))
-    if all(r.fault is not None for r in results):
-        raise AllScenesFailed(f"all {len(scenes)} scenes failed at the gateway")
-    return tuple(results)
+            per_scene = list(pool.map(query_scene, scenes))
+    by_prompt: dict[str, list[RunResult]] = {prompt.prompt_id: [] for prompt in prompts}
+    for result in chain.from_iterable(per_scene):
+        by_prompt[result.prompt_id].append(result)
+    for results in by_prompt.values():
+        if all(r.fault is not None for r in results):
+            raise AllScenesFailed(f"all {len(scenes)} scenes failed at the gateway")
+        results.sort(key=lambda r: (r.scene_id, r.prompt_id, r.run_idx))
+    return {prompt_id: tuple(results) for prompt_id, results in by_prompt.items()}
 
 
 def _matrix_for_run(
@@ -220,7 +231,12 @@ def run_binary_experiment(
     prompt = get_prompt(prompt_id)
     if prompt.expected_format is not ExpectedFormat.YES_NO:
         raise ExperimentPrecondition(f"prompt {prompt_id} is not a yes/no prompt")
-    results = _dispatch(list(scenes), prompt, gateway, config)
+    results = _dispatch(list(scenes), (prompt,), gateway, config)[prompt_id]
+    for run_idx in range(config.runs_per_prompt):
+        if all(r.fault is not None for r in results if r.run_idx == run_idx):
+            raise AllScenesFailed(
+                f"all {len(scenes)} scenes failed at the gateway in run {run_idx}"
+            )
     return binary_result(results, scenes.labels(), config.runs_per_prompt)
 
 
@@ -271,25 +287,38 @@ def run_localization_experiment(
     failures are scored overlap=false with recall and IoU 0 and keep
     their taxonomy kind; gateway faults are recorded but not scored.
     """
-    prompt = get_prompt(prompt_id)
-    if prompt.expected_format is not ExpectedFormat.COORDINATE_TEMPLATE:
-        raise ExperimentPrecondition(f"prompt {prompt_id} is not a coordinate prompt")
+    return _localize(scenes, (prompt_id,), gateway, config)[prompt_id]
+
+
+def _localize(
+    scenes: SceneSet, prompt_ids: tuple[str, ...], gateway: Gateway, config: ExperimentConfig
+) -> dict[str, LocalizationExperimentResult]:
+    """Validate every prompt, query all of them in one dispatch, score each."""
+    prompts = tuple(get_prompt(prompt_id) for prompt_id in dict.fromkeys(prompt_ids))
+    for prompt in prompts:
+        if prompt.expected_format is not ExpectedFormat.COORDINATE_TEMPLATE:
+            raise ExperimentPrecondition(f"prompt {prompt.prompt_id} is not a coordinate prompt")
     multi = [r.scene_id for r in scenes.positives if len(r.gt_boxes) != 1]
     if multi:
         raise ExperimentPrecondition(
             f"localization needs exactly one gt box per scene, offending: {multi}"
         )
-    results = _dispatch(list(scenes.positives), prompt, gateway, config)
+    dispatched = _dispatch(list(scenes.positives), prompts, gateway, config)
 
     gt_by_scene = {
         r.scene_id: normalize_bbox(r.gt_boxes[0], r.width, r.height) for r in scenes.positives
     }
-    samples = tuple(
-        _score_detection(r.detection, gt_by_scene[r.scene_id], r.scene_id, r.run_idx)
-        for r in results
-        if r.detection is not None
-    )
-    return localization_result(results, samples)
+    return {
+        prompt_id: localization_result(
+            results,
+            tuple(
+                _score_detection(r.detection, gt_by_scene[r.scene_id], r.scene_id, r.run_idx)
+                for r in results
+                if r.detection is not None
+            ),
+        )
+        for prompt_id, results in dispatched.items()
+    }
 
 
 def localization_result(
@@ -310,16 +339,16 @@ def run_prompt_comparison(
 ) -> PromptComparison:
     """Experiment 3: the localization experiment across several prompts.
 
+    Every prompt is validated before any query; the prompts then share one
+    dispatch, so each positive's frame is read once for all of them. A
+    repeated prompt id is queried once and keeps its place in the table.
     Emits one localization summary per prompt plus the per-image recall
     samples behind the recall-distribution chart.
     """
     prompt_ids = tuple(prompt_ids)
     if not prompt_ids:
         raise ExperimentPrecondition("prompt comparison needs at least one prompt")
-    runs = {
-        prompt_id: run_localization_experiment(scenes, prompt_id, gateway, config)
-        for prompt_id in prompt_ids
-    }
+    runs = _localize(scenes, prompt_ids, gateway, config)
     return PromptComparison(prompt_ids=prompt_ids, runs=runs)
 
 

@@ -15,6 +15,7 @@ resizing; a transformation here would be an undocumented confound.
 from __future__ import annotations
 
 import base64
+import http.client
 import json
 import os
 import time
@@ -230,6 +231,10 @@ class LiveBackend:
             if isinstance(e.reason, TimeoutError):
                 raise _BackendFault("timeout", str(e.reason)) from e
             raise _BackendFault("transport", str(e.reason)) from e
+        except (http.client.HTTPException, ConnectionError) as e:
+            # urlopen wraps only send-side errors; a dropped connection or a
+            # short body surfaces while the reply is read
+            raise _BackendFault("transport", f"{type(e).__name__}: {e}") from e
 
 
 class Gateway:
@@ -237,6 +242,8 @@ class Gateway:
 
     Shareable across threads: per-call state lives on the stack, the mock
     script is read-only, and the live path opens one connection per call.
+    A connection the server drops, or a reply body cut short, is a
+    transport fault and is retried like any other.
     """
 
     def __init__(self, backend) -> None:

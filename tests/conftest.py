@@ -1,8 +1,11 @@
-"""Shared fixture builders: manifests with image files and mock reply scripts."""
+"""Shared fixture builders: manifests with image files, mock reply scripts and
+a loopback HTTP server for the live backend."""
 
 from __future__ import annotations
 
 import json
+import socket
+import threading
 from pathlib import Path
 
 import pytest
@@ -69,3 +72,66 @@ def small_manifest(tmp_path: Path) -> Path:
         scene_line("neg_b", positive=False, tags=["night"]),
     ]
     return write_manifest(tmp_path, records)
+
+
+def http_reply(body: bytes, *, length: int | None = None) -> bytes:
+    """Raw HTTP/1.1 200 response; ``length`` overrides Content-Length to cut the body short."""
+    head = (
+        "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+        f"Content-Length: {len(body) if length is None else length}\r\nConnection: close\r\n\r\n"
+    )
+    return head.encode("ascii") + body
+
+
+def completion_reply(text: str) -> bytes:
+    return http_reply(json.dumps({"choices": [{"message": {"content": text}}]}).encode("utf-8"))
+
+
+class LoopbackServer:
+    """Socket server on 127.0.0.1 that reads each request whole, then answers it.
+
+    ``respond(request_body)`` returns the raw bytes to send, or None to
+    close the connection without a reply. One connection at a time.
+    """
+
+    def __init__(self, respond) -> None:
+        self.respond = respond
+        self.connections = 0
+        self._sock = socket.create_server(("127.0.0.1", 0))
+        self._sock.settimeout(0.05)
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self.url = f"http://127.0.0.1:{self._sock.getsockname()[1]}/v1"
+
+    def __enter__(self) -> LoopbackServer:
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._stop.set()
+        self._thread.join(timeout=10)
+        self._sock.close()
+        assert not self._thread.is_alive(), "loopback server still serving"
+
+    def _serve(self) -> None:
+        while not self._stop.is_set():
+            try:
+                conn, _ = self._sock.accept()
+            except TimeoutError:
+                continue
+            with conn:
+                conn.settimeout(5)
+                self.connections += 1
+                reply = self.respond(self._read_body(conn))
+                if reply is not None:
+                    conn.sendall(reply)
+
+    @staticmethod
+    def _read_body(conn: socket.socket) -> bytes:
+        with conn.makefile("rb") as reader:
+            length = 0
+            while (line := reader.readline()) not in (b"\r\n", b""):
+                name, _, value = line.partition(b":")
+                if name.strip().lower() == b"content-length":
+                    length = int(value)
+            return reader.read(length)

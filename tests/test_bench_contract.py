@@ -17,7 +17,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 import gen  # noqa: E402
 import spans  # noqa: E402
 import workloads  # noqa: E402
-from fovlink import gateway  # noqa: E402
+from fovlink import dataset, gateway  # noqa: E402
 from fovlink.prompts import PROMPTS  # noqa: E402
 
 
@@ -37,6 +37,9 @@ def test_traced_eval_and_rerender_passes_feed_every_layer(tmp_path):
     assert eval_pass.problems == []
     assert rerender_pass.problems == []
     eval_metrics = spans.summarize(eval_tracer.spans)
+    # one frame read per scene for exp1, per positive for exp2 and for all of exp3
+    n_positives = sum(s.has_pedestrian for s in dataset.load_manifest(data / "manifest.jsonl"))
+    assert eval_metrics["experiments.image_bytes_read"] == (24 + 2 * n_positives) * gen.FRAME_BYTES
     for name in ("parsing.detect_s", "stats.matrix_s", "stats.summary_s", "experiments.consistency_s"):
         assert eval_metrics[name] > 0, name
     rerender_metrics = spans.summarize(rerender_tracer.spans)

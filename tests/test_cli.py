@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import base64
 import json
 
 import pytest
@@ -7,7 +8,15 @@ import pytest
 from fovlink.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from fovlink.dataset import load_manifest
 
-from conftest import scene_line, script_key, write_fixture, write_manifest
+from conftest import (
+    LoopbackServer,
+    completion_reply,
+    http_reply,
+    scene_line,
+    script_key,
+    write_fixture,
+    write_manifest,
+)
 from test_experiments import GT_TEMPLATE, binary_script, localization_script
 
 
@@ -91,6 +100,109 @@ class TestExp1:
         with pytest.raises(SystemExit) as exc:
             run_cli("exp1")
         assert exc.value.code == EXIT_USAGE
+
+
+class TestArgumentBounds:
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--runs", "0"),
+            ("--parallelism", "0"),
+            ("--max-tokens", "0"),
+            ("--timeout", "0"),
+            ("--retries", "-1"),
+            ("--temperature", "-1"),
+            ("--runs", "many"),
+        ],
+    )
+    def test_out_of_range_number_is_usage_error(self, workspace, capsys, flag, value):
+        tmp_path, manifest, scenes = workspace
+        fixture = write_fixture(tmp_path, binary_script(scenes))
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "exp1", "--manifest", manifest, "--fixture", fixture, flag, value,
+                "--out", tmp_path / "out",
+            )
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith(f"fovlink exp1: error: argument {flag}: ")
+        assert not (tmp_path / "out").exists()
+
+
+class TestFixtureAndBackendExitCodes:
+    def test_malformed_fixture_is_data_error(self, workspace, capsys):
+        tmp_path, manifest, scenes = workspace
+        fixture = write_fixture(tmp_path, binary_script(scenes))
+        fixture.write_text(fixture.read_text()[:40], encoding="utf-8")
+        code = run_cli(
+            "exp1", "--manifest", manifest, "--fixture", fixture, "--out", tmp_path / "out"
+        )
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("fovlink: fixture error: mock fixture is not valid JSON")
+
+    def test_malformed_live_reply_is_backend_error(self, workspace, monkeypatch, capsys):
+        tmp_path, manifest, _ = workspace
+        with LoopbackServer(lambda body: http_reply(b"<html>not json</html>")) as server:
+            monkeypatch.setenv("FOVLINK_BASE_URL", server.url)
+            code = run_cli(
+                "exp1", "--backend", "live", "--manifest", manifest, "--runs", 1,
+                "--out", tmp_path / "out",
+            )
+        assert code == EXIT_BACKEND
+        assert "backend failure" in capsys.readouterr().err
+
+    def test_run_zero_all_faulted_is_backend_error(self, workspace, capsys):
+        tmp_path, manifest, scenes = workspace
+        script = binary_script(scenes, runs=3)
+        for record in scenes:
+            script[script_key(record.scene_id, "BIN", 0)] = {"fault": "transport"}
+        fixture = write_fixture(tmp_path, script)
+        code = run_cli(
+            "exp1", "--manifest", manifest, "--fixture", fixture, "--runs", 3,
+            "--out", tmp_path / "out",
+        )
+        assert code == EXIT_BACKEND
+        assert "all 3 scenes failed at the gateway in run 0" in capsys.readouterr().err
+
+
+class TestDroppedConnections:
+    """A live server that closes connections yields per-scene faults, not an i/o abort."""
+
+    def test_dropped_scene_is_recorded_as_fault(self, workspace, monkeypatch):
+        tmp_path, manifest, _ = workspace
+        # conftest frames are the scene id repeated; neg_a's request carries it in base64
+        marker = base64.b64encode(b"neg_a" * 16)
+
+        def respond(body: bytes) -> bytes | None:
+            return None if marker in body else completion_reply("no")
+
+        out = tmp_path / "out"
+        with LoopbackServer(respond) as server:
+            monkeypatch.setenv("FOVLINK_BASE_URL", server.url)
+            code = run_cli(
+                "exp1", "--backend", "live", "--manifest", manifest, "--runs", 1,
+                "--retries", 0, "--out", out,
+            )
+        assert code == EXIT_OK
+        lines = (out / "binary_results.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        faults = {r["scene_id"]: r["fault"] for r in records if r["outcome"] == "fault"}
+        assert list(faults) == ["neg_a"]
+        assert faults["neg_a"].startswith("TransportError: transport after 1 attempts")
+        assert "RemoteDisconnected" in faults["neg_a"]
+
+    def test_every_connection_dropped_is_backend_error(self, workspace, monkeypatch, capsys):
+        tmp_path, manifest, _ = workspace
+        with LoopbackServer(lambda body: None) as server:
+            monkeypatch.setenv("FOVLINK_BASE_URL", server.url)
+            code = run_cli(
+                "exp1", "--backend", "live", "--manifest", manifest, "--runs", 1,
+                "--retries", 0, "--out", tmp_path / "out",
+            )
+        assert code == EXIT_BACKEND
+        assert "all 3 scenes failed at the gateway" in capsys.readouterr().err
 
 
 class TestExp2AndExp3:

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
 from fovlink.dataset import load_manifest
 from fovlink.experiments import (
     AllScenesFailed,
+    PromptComparison,
     EmptyFailureSet,
     ExperimentConfig,
     ExperimentPrecondition,
@@ -17,6 +21,7 @@ from fovlink.experiments import (
 )
 from fovlink.gateway import Gateway, MockBackend, QueryParams
 from fovlink.parsing import FailureKind
+from fovlink.report import ReportBundle, emit_report
 
 from conftest import scene_line, script_key, write_manifest
 
@@ -329,3 +334,112 @@ class TestDeterminism:
             )
         assert outcomes[0].results == outcomes[1].results
         assert outcomes[0].matrix == outcomes[1].matrix
+
+
+@pytest.fixture
+def frame_reads(monkeypatch):
+    """Counts Path.read_bytes calls per image file name."""
+    reads: Counter[str] = Counter()
+    read_bytes = Path.read_bytes
+
+    def counting(path):
+        reads[path.name] += 1
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", counting)
+    return reads
+
+
+def comparison_script(scenes, prompt_ids=("P1", "P2", "P3"), runs=3):
+    replies = {"P1": GT_TEMPLATE, "P2": "(0.4,0.4), (0.6,0.6)", "P3": NO_PED_REPLY}
+    script = {}
+    for prompt_id in prompt_ids:
+        script.update(localization_script(scenes, replies[prompt_id], prompt_id, runs=runs))
+    return script
+
+
+CONFIG_3RUNS = ExperimentConfig(runs_per_prompt=3, params=QueryParams(backoff_base=0.0))
+TARGETS = ("csv", "records", "svg")
+
+
+class TestFrameReads:
+    """Each task reads its scene's frame once, however many queries it asks."""
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_binary_reads_each_scene_once(self, small_manifest, frame_reads, parallelism):
+        scenes = load_manifest(small_manifest)
+        config = ExperimentConfig(
+            runs_per_prompt=3, parallelism=parallelism, params=QueryParams(backoff_base=0.0)
+        )
+        script = binary_script(scenes, runs=3)
+        run_binary_experiment(scenes, "BIN", Gateway(MockBackend(script)), config)
+        assert frame_reads == Counter({f"{r.scene_id}.jpg": 1 for r in scenes})
+
+    def test_localization_reads_each_positive_once(self, small_manifest, frame_reads):
+        scenes = load_manifest(small_manifest)
+        script = localization_script(scenes, GT_TEMPLATE, runs=3)
+        run_localization_experiment(scenes, "P1", Gateway(MockBackend(script)), CONFIG_3RUNS)
+        assert frame_reads == Counter({f"{r.scene_id}.jpg": 1 for r in scenes.positives})
+
+    def test_comparison_reads_each_positive_once_for_all_prompts(
+        self, small_manifest, frame_reads
+    ):
+        scenes = load_manifest(small_manifest)
+        gateway = Gateway(MockBackend(comparison_script(scenes)))
+        comparison = run_prompt_comparison(scenes, ("P1", "P2", "P3"), gateway, CONFIG_3RUNS)
+        assert frame_reads == Counter({f"{r.scene_id}.jpg": 1 for r in scenes.positives})
+        assert len(comparison.results) == 3 * 3 * len(scenes.positives)
+
+
+class TestPromptComparisonDispatch:
+    def test_matches_one_localization_run_per_prompt(self, small_manifest):
+        scenes = load_manifest(small_manifest)
+        gateway = Gateway(MockBackend(comparison_script(scenes)))
+        comparison = run_prompt_comparison(scenes, ("P1", "P2", "P3"), gateway, CONFIG_3RUNS)
+        for prompt_id in ("P1", "P2", "P3"):
+            alone = run_localization_experiment(scenes, prompt_id, gateway, CONFIG_3RUNS)
+            assert comparison.runs[prompt_id] == alone
+
+    def test_parallelism_does_not_change_results_or_files(self, small_manifest, tmp_path):
+        scenes = load_manifest(small_manifest)
+        gateway = Gateway(MockBackend(comparison_script(scenes)))
+        outcomes, files = [], []
+        for parallelism in (1, 8):
+            config = ExperimentConfig(
+                runs_per_prompt=3, parallelism=parallelism, params=QueryParams(backoff_base=0.0)
+            )
+            comparison = run_prompt_comparison(scenes, ("P1", "P2", "P3"), gateway, config)
+            out = tmp_path / f"p{parallelism}"
+            paths = emit_report(ReportBundle(comparison=comparison), TARGETS, out)
+            outcomes.append(comparison)
+            files.append({p.name: p.read_bytes() for p in paths})
+        assert outcomes[0] == outcomes[1]
+        assert files[0] == files[1]
+
+    def test_repeated_prompt_id_is_queried_once(self, small_manifest, frame_reads):
+        scenes = load_manifest(small_manifest)
+        gateway = Gateway(MockBackend(comparison_script(scenes, ("P1",))))
+        comparison = run_prompt_comparison(scenes, ("P1", "P1"), gateway, CONFIG_3RUNS)
+        alone = run_localization_experiment(scenes, "P1", gateway, CONFIG_3RUNS)
+        assert comparison == PromptComparison(prompt_ids=("P1", "P1"), runs={"P1": alone})
+        assert [pid for pid, _ in comparison.summary_table()] == ["P1", "P1"]
+        # one read per positive for the comparison, one more for the lone run
+        assert frame_reads == Counter({f"{r.scene_id}.jpg": 2 for r in scenes.positives})
+
+    def test_prompt_with_every_query_faulted_aborts(self, small_manifest):
+        scenes = load_manifest(small_manifest)
+        script = comparison_script(scenes)
+        for key in script:
+            if "|P2|" in key:
+                script[key] = {"fault": "timeout"}
+        with pytest.raises(AllScenesFailed, match="all 3 scenes failed at the gateway"):
+            run_prompt_comparison(
+                scenes, ("P1", "P2", "P3"), Gateway(MockBackend(script)), CONFIG_3RUNS
+            )
+
+    def test_every_prompt_validated_before_any_query(self, small_manifest, frame_reads):
+        scenes = load_manifest(small_manifest)
+        gateway = Gateway(MockBackend(comparison_script(scenes)))
+        with pytest.raises(ExperimentPrecondition, match="BIN is not a coordinate prompt"):
+            run_prompt_comparison(scenes, ("P1", "BIN"), gateway, CONFIG_3RUNS)
+        assert not frame_reads

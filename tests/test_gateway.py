@@ -23,7 +23,7 @@ from fovlink.gateway import (
     parse_chat_reply,
 )
 
-from conftest import script_key
+from conftest import LoopbackServer, http_reply, script_key
 
 PARAMS = QueryParams(max_retries=2, backoff_base=0.0)
 
@@ -213,6 +213,30 @@ class TestLiveBackend:
         with pytest.raises(RateLimitedExhausted):
             Gateway(backend).send_vision_query(b"img", "prompt", PARAMS)
         assert calls["n"] == 3
+
+
+class TestDroppedConnections:
+    """Faults that surface while the reply is read, not while the request is sent."""
+
+    @pytest.mark.parametrize(
+        "reply, detail",
+        [
+            (None, "RemoteDisconnected"),  # accepts the request, then closes
+            (http_reply(b'{"choices": [', length=200), "IncompleteRead"),
+        ],
+        ids=["closed", "short_body"],
+    )
+    def test_retried_then_raised_as_transport_error(self, reply, detail):
+        with LoopbackServer(lambda body: reply) as server:
+            backend = LiveBackend(base_url=server.url)
+            with pytest.raises(TransportError) as raised:
+                Gateway(backend).send_vision_query(b"img", "prompt", PARAMS)
+        assert server.connections == PARAMS.max_retries + 1
+        attempts = raised.value.attempts
+        assert len(attempts) == PARAMS.max_retries + 1
+        for n, attempt in enumerate(attempts, start=1):
+            assert attempt.startswith(f"attempt {n}: transport after ")
+            assert detail in attempt
 
 
 class TestQueryParams:
