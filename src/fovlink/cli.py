@@ -14,11 +14,10 @@ from pathlib import Path
 from .dataset import SceneSet, load_manifest
 from .errors import FovlinkError
 from .experiments import (
-    LOWLIGHT_TAGS,
     AllScenesFailed,
-    EmptyFailureSet,
     ExperimentConfig,
-    lowlight_failure_share,
+    failure_lowlight_share,
+    lowlight_by_scene,
     run_binary_experiment,
     run_localization_experiment,
     run_prompt_comparison,
@@ -33,15 +32,20 @@ from .gateway import (
     UnscriptedKey,
 )
 from .prompts import UnknownPromptId
-from .report import ReportBundle, consistency_or_none, emit_report, normalize_targets, rerender
+from .report import (
+    RENDER_TARGETS,
+    ReportBundle,
+    consistency_or_none,
+    emit_report,
+    normalize_targets,
+    rerender,
+)
 from .v2v import load_scenario, run_dialogue
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_BACKEND = 3
-
-DEFAULT_TARGETS = ("csv", "records", "svg")
 
 
 class _FixtureError(FovlinkError):
@@ -65,6 +69,11 @@ _AT_LEAST_ONE = _bounded(int, ">= 1", lambda v: v >= 1)
 _NON_NEGATIVE_INT = _bounded(int, ">= 0", lambda v: v >= 0)
 _NON_NEGATIVE_FLOAT = _bounded(float, ">= 0", lambda v: v >= 0)
 _POSITIVE_FLOAT = _bounded(float, "> 0", lambda v: v > 0)
+_PROMPT_IDS = _bounded(
+    lambda text: tuple(p.strip() for p in text.split(",") if p.strip()),
+    "comma-separated prompt ids, each named once",
+    lambda ids: len(set(ids)) == len(ids),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,7 +112,9 @@ def _build_parser() -> _Parser:
 
     exp3 = sub.add_parser("exp3", parents=[shared], help="prompt comparison")
     exp3.add_argument("--manifest", type=Path, required=True)
-    exp3.add_argument("--prompts", default="P1,P2,P3", help="comma-separated prompt ids")
+    exp3.add_argument(
+        "--prompts", type=_PROMPT_IDS, default="P1,P2,P3", help="comma-separated prompt ids"
+    )
     exp3.add_argument("--runs", type=_AT_LEAST_ONE, default=3)
     exp3.add_argument("--out", type=Path, required=True)
 
@@ -114,7 +125,7 @@ def _build_parser() -> _Parser:
 
     report = sub.add_parser("report", help="re-render reports from result files")
     report.add_argument("--in", dest="in_dir", type=Path, required=True)
-    report.add_argument("--targets", default="csv,records,svg")
+    report.add_argument("--targets", default=",".join(RENDER_TARGETS))
 
     return parser
 
@@ -153,10 +164,10 @@ def _emit_experiment(out: Path, scenes: SceneSet, results, **parts) -> list[Path
     bundle = ReportBundle(
         consistency=consistency_or_none(results),
         labels={r.scene_id: r.has_pedestrian for r in scenes},
-        lowlight={r.scene_id: bool(r.tags & LOWLIGHT_TAGS) for r in scenes},
+        lowlight=lowlight_by_scene(scenes),
         **parts,
     )
-    return emit_report(bundle, DEFAULT_TARGETS, out)
+    return emit_report(bundle, RENDER_TARGETS, out)
 
 
 def _cmd_exp1(args) -> list[Path]:
@@ -173,10 +184,7 @@ def _cmd_exp1(args) -> list[Path]:
 def _cmd_exp2(args) -> list[Path]:
     scenes, gateway, config = _experiment_inputs(args)
     outcome = run_localization_experiment(scenes, args.prompt, gateway, config)
-    try:
-        share = lowlight_failure_share(outcome.results, scenes)
-    except EmptyFailureSet:
-        share = None
+    share = failure_lowlight_share(outcome.results, lowlight_by_scene(scenes))
     files = _emit_experiment(
         args.out, scenes, outcome.results, localization=outcome, lowlight_share=share
     )
@@ -190,8 +198,7 @@ def _cmd_exp2(args) -> list[Path]:
 
 def _cmd_exp3(args) -> list[Path]:
     scenes, gateway, config = _experiment_inputs(args)
-    prompt_ids = tuple(p.strip() for p in args.prompts.split(",") if p.strip())
-    comparison = run_prompt_comparison(scenes, prompt_ids, gateway, config)
+    comparison = run_prompt_comparison(scenes, args.prompts, gateway, config)
     files = _emit_experiment(args.out, scenes, comparison.results, comparison=comparison)
     for pid, summary in comparison.summary_table():
         print(f"exp3 {pid}: union rate {summary.union_rate * 100:.2f}%")
@@ -203,7 +210,7 @@ def _cmd_v2v(args) -> list[Path]:
     scenes = load_manifest(args.manifest)
     gateway = _make_gateway(args)
     transcript = run_dialogue(ego, remotes, scenes, prompt_id, gateway, link, _query_params(args))
-    files = emit_report(ReportBundle(transcript=transcript), DEFAULT_TARGETS, args.out)
+    files = emit_report(ReportBundle(transcript=transcript), RENDER_TARGETS, args.out)
     c = transcript.comparison()
     ratio_txt = "n/a" if c.ratio is None else f"{c.ratio:.6f}"
     print(

@@ -1,10 +1,8 @@
 """Scene manifest loading, validation and curation filtering.
 
-Ground truth arrives as a line-delimited UTF-8 manifest: one JSON object
-per line with keys exactly ``scene_id``, ``image_path``, ``width``,
-``height``, ``has_pedestrian``, ``gt_boxes``, ``tags``. Unknown keys are
-rejected. Relative image paths are resolved against the manifest's
-directory.
+Ground truth arrives as a line-delimited UTF-8 manifest, one JSON object
+of ``MANIFEST_SHAPE`` per line. Relative image paths are resolved
+against the manifest's directory.
 
 Curation tags are free-form strings; the vocabulary used by the bundled
 fixtures and the low-light analysis is:
@@ -20,15 +18,19 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import FovlinkError
+from .shape import FOUR_NUMBERS, NON_EMPTY_STR, Fields, ListOf, describe, problems
 
-MANIFEST_KEYS = (
-    "scene_id",
-    "image_path",
-    "width",
-    "height",
-    "has_pedestrian",
-    "gt_boxes",
-    "tags",
+# one manifest line (docs/schemas.md)
+MANIFEST_SHAPE = Fields(
+    {
+        "scene_id": NON_EMPTY_STR,
+        "image_path": NON_EMPTY_STR,
+        "width": (int,),
+        "height": (int,),
+        "has_pedestrian": (bool,),
+        "gt_boxes": ListOf(FOUR_NUMBERS),
+        "tags": ListOf((str,)),
+    }
 )
 
 
@@ -44,7 +46,7 @@ class SchemaViolation(ManifestError):
     """A manifest line does not conform to the schema."""
 
     def __init__(self, line: int, fld: str, reason: str, violations: list[str] | None = None) -> None:
-        super().__init__(f"line {line}, field {fld!r}: {reason}")
+        super().__init__(f"line {line}: {describe(fld, reason)}")
         self.line = line
         self.field = fld
         self.all_violations: list[str] = violations if violations is not None else [str(self)]
@@ -136,91 +138,6 @@ class SceneSet:
         return [(r.scene_id, r.has_pedestrian) for r in self]
 
 
-@dataclass
-class _Violations:
-    """Collects every problem found in one pass over the manifest."""
-
-    schema: list[tuple[int, str, str]] = field(default_factory=list)
-    invariant: list[tuple[str, str]] = field(default_factory=list)
-
-    def add_schema(self, line: int, fld: str, reason: str) -> None:
-        self.schema.append((line, fld, reason))
-
-    def add_invariant(self, scene_id: str, reason: str) -> None:
-        self.invariant.append((scene_id, reason))
-
-    def report(self) -> list[str]:
-        return [f"line {line}, field {fld!r}: {reason}" for line, fld, reason in self.schema] + [
-            f"scene {scene_id!r}: {reason}" for scene_id, reason in self.invariant
-        ]
-
-    def raise_if_any(self) -> None:
-        if self.schema:
-            line, fld, reason = self.schema[0]
-            raise SchemaViolation(line, fld, reason, self.report())
-        if self.invariant:
-            scene_id, reason = self.invariant[0]
-            raise InvariantViolation(scene_id, reason, self.report())
-
-
-def _parse_record(line_no: int, raw: dict, base_dir: Path, out: _Violations) -> SceneRecord | None:
-    unknown = set(raw) - set(MANIFEST_KEYS)
-    missing = set(MANIFEST_KEYS) - set(raw)
-    for key in sorted(unknown):
-        out.add_schema(line_no, key, "unknown key")
-    for key in sorted(missing):
-        out.add_schema(line_no, key, "missing key")
-    if unknown or missing:
-        return None
-
-    ok = True
-
-    def bad(fld: str, reason: str) -> None:
-        nonlocal ok
-        ok = False
-        out.add_schema(line_no, fld, reason)
-
-    if not isinstance(raw["scene_id"], str) or not raw["scene_id"]:
-        bad("scene_id", "must be a non-empty string")
-    if not isinstance(raw["image_path"], str) or not raw["image_path"]:
-        bad("image_path", "must be a non-empty string")
-    for fld in ("width", "height"):
-        if not isinstance(raw[fld], int) or isinstance(raw[fld], bool):
-            bad(fld, "must be an integer")
-    if not isinstance(raw["has_pedestrian"], bool):
-        bad("has_pedestrian", "must be true or false")
-    boxes: list[PixelBBox] = []
-    if not isinstance(raw["gt_boxes"], list):
-        bad("gt_boxes", "must be a list of 4-element numeric lists")
-    else:
-        for i, entry in enumerate(raw["gt_boxes"]):
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 4
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
-            ):
-                bad("gt_boxes", f"entry {i} is not a 4-element numeric list")
-            else:
-                boxes.append(PixelBBox(*(float(v) for v in entry)))
-    if not isinstance(raw["tags"], list) or not all(isinstance(t, str) for t in raw["tags"]):
-        bad("tags", "must be a list of strings")
-
-    if not ok:
-        return None
-    image_path = Path(raw["image_path"])
-    if not image_path.is_absolute():
-        image_path = base_dir / image_path
-    return SceneRecord(
-        scene_id=raw["scene_id"],
-        image_path=image_path,
-        width=raw["width"],
-        height=raw["height"],
-        has_pedestrian=raw["has_pedestrian"],
-        gt_boxes=tuple(boxes),
-        tags=frozenset(raw["tags"]),
-    )
-
-
 def load_manifest(path: str | Path) -> SceneSet:
     """Load and validate a scene manifest.
 
@@ -233,7 +150,8 @@ def load_manifest(path: str | Path) -> SceneSet:
     if not path.is_file():
         raise MissingFile(f"manifest not found: {path}")
 
-    found = _Violations()
+    schema: list[tuple[int, str, str]] = []
+    invariant: list[tuple[str, str]] = []
     positives: list[SceneRecord] = []
     negatives: list[SceneRecord] = []
     seen: set[str] = set()
@@ -245,24 +163,39 @@ def load_manifest(path: str | Path) -> SceneSet:
         try:
             raw = json.loads(line)
         except json.JSONDecodeError as e:
-            found.add_schema(line_no, "", f"invalid JSON ({e.msg})")
+            schema.append((line_no, "", f"invalid JSON ({e.msg})"))
             continue
-        if not isinstance(raw, dict):
-            found.add_schema(line_no, "", "record must be an object")
+        found = problems(raw, MANIFEST_SHAPE)
+        if found:
+            schema += [(line_no, fld, reason) for fld, reason in found]
             continue
-        record = _parse_record(line_no, raw, path.parent, found)
-        if record is None:
-            continue
+        image_path = Path(raw["image_path"])
+        record = SceneRecord(
+            scene_id=raw["scene_id"],
+            image_path=image_path if image_path.is_absolute() else path.parent / image_path,
+            width=raw["width"],
+            height=raw["height"],
+            has_pedestrian=raw["has_pedestrian"],
+            gt_boxes=tuple(PixelBBox(*(float(v) for v in box)) for box in raw["gt_boxes"]),
+            tags=frozenset(raw["tags"]),
+        )
         reason = record.invariant_violation()
         if reason is None and record.scene_id in seen:
             reason = "duplicate scene_id"
         if reason is not None:
-            found.add_invariant(record.scene_id, reason)
+            invariant.append((record.scene_id, reason))
             continue
         seen.add(record.scene_id)
         (positives if record.has_pedestrian else negatives).append(record)
 
-    found.raise_if_any()
+    # every violation as its own exception would state it
+    report = [str(SchemaViolation(*v)) for v in schema] + [
+        str(InvariantViolation(*v)) for v in invariant
+    ]
+    if schema:
+        raise SchemaViolation(*schema[0], report)
+    if invariant:
+        raise InvariantViolation(*invariant[0], report)
     return SceneSet(positives=tuple(positives), negatives=tuple(negatives))
 
 

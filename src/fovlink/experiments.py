@@ -67,7 +67,6 @@ class RunResult:
 @dataclass(frozen=True, slots=True)
 class ExperimentConfig:
     runs_per_prompt: int = 3
-    prompt_ids: tuple[str, ...] = ()
     parallelism: int = 1
     params: QueryParams = field(default_factory=QueryParams)
 
@@ -411,13 +410,18 @@ def analyze_run_consistency(
     return records
 
 
-def lowlight_failure_share(
-    results: list[RunResult] | tuple[RunResult, ...], scenes: SceneSet
-) -> float:
-    """Fraction of failure scenes shot in low-light conditions.
+def lowlight_by_scene(scenes: SceneSet) -> dict[str, bool]:
+    """scene_id -> whether the scene carries a low-light tag (dusk, sunset, shade, solar_glare)."""
+    return {r.scene_id: bool(r.tags & LOWLIGHT_TAGS) for r in scenes}
 
-    Counts distinct scenes whose replies fell into the failure taxonomy
-    and intersects their tags with dusk/sunset/shade/solar_glare.
+
+def failure_lowlight_share(
+    results: list[RunResult] | tuple[RunResult, ...], lowlight: dict[str, bool]
+) -> float | None:
+    """Fraction of failure scenes that ``lowlight`` marks low-light, None without failures.
+
+    Counts distinct scenes whose replies fell into the failure taxonomy; a
+    scene missing from ``lowlight`` counts as not low-light.
     """
     failure_scenes = {
         r.scene_id
@@ -425,8 +429,15 @@ def lowlight_failure_share(
         if r.detection is not None and r.detection.kind is DetectionKind.FAILURE
     }
     if not failure_scenes:
+        return None
+    return sum(1 for scene_id in failure_scenes if lowlight.get(scene_id)) / len(failure_scenes)
+
+
+def lowlight_failure_share(
+    results: list[RunResult] | tuple[RunResult, ...], scenes: SceneSet
+) -> float:
+    """Fraction of failure scenes shot in low-light conditions (see lowlight_by_scene)."""
+    share = failure_lowlight_share(results, lowlight_by_scene(scenes))
+    if share is None:
         raise EmptyFailureSet("no taxonomy failures in the result set")
-    tagged = sum(
-        1 for scene_id in failure_scenes if scenes.by_id[scene_id].tags & LOWLIGHT_TAGS
-    )
-    return tagged / len(failure_scenes)
+    return share

@@ -96,7 +96,8 @@ class ParsedDetection:
             raise ValueError(f"fields do not match kind {self.kind}")
 
 
-def _excerpt(text: str) -> str:
+def excerpt(text: str) -> str:
+    """The head of a reply that a detection keeps for auditing."""
     return text[:_EXCERPT_LEN]
 
 
@@ -168,11 +169,11 @@ def detect_binary(text: str) -> ParsedDetection:
         return ParsedDetection(
             kind=DetectionKind.VERDICT,
             verdict=True,
-            raw_excerpt=_excerpt(text),
+            raw_excerpt=excerpt(text),
             coerced=True,
         )
     return ParsedDetection(
-        kind=DetectionKind.VERDICT, verdict=verdict, raw_excerpt=_excerpt(text)
+        kind=DetectionKind.VERDICT, verdict=verdict, raw_excerpt=excerpt(text)
     )
 
 
@@ -181,8 +182,8 @@ def detect_bbox(text: str) -> ParsedDetection:
     outcome = parse_bbox_response(text)
     if isinstance(outcome, FailureKind):
         return ParsedDetection(
-            kind=DetectionKind.FAILURE, failure_kind=outcome, raw_excerpt=_excerpt(text)
+            kind=DetectionKind.FAILURE, failure_kind=outcome, raw_excerpt=excerpt(text)
         )
     return ParsedDetection(
-        kind=DetectionKind.LOCATED, box=outcome, raw_excerpt=_excerpt(text)
+        kind=DetectionKind.LOCATED, box=outcome, raw_excerpt=excerpt(text)
     )

@@ -30,10 +30,11 @@ from .experiments import (
     RunResult,
     analyze_run_consistency,
     binary_result,
+    failure_lowlight_share,
     localization_result,
 )
-from .geometry import NormalizedBBox
-from .parsing import DetectionKind, FailureKind, ParsedDetection
+from .geometry import NonFiniteInput, NormalizedBBox
+from .parsing import DetectionKind, FailureKind, ParsedDetection, excerpt
 from .stats import STAT_NAMES, ConfusionMatrix, DetectionStats, LocalizationSummary
 # bench/spans.py traces the statistics under these names
 from .stats import (  # noqa: F401
@@ -41,44 +42,45 @@ from .stats import (  # noqa: F401
     derive_detection_stats,
     summarize_localization,
 )
+from .shape import FOUR_NUMBERS, NON_NEGATIVE_INT, NULL, NUMBER, Fields, Nullable, describe, problems
 from .v2v import DialogueTranscript, LinkModel, decode_message, encode_message
 
 log = logging.getLogger(__name__)
 
 RENDER_TARGETS = ("csv", "records", "svg")
 
-_NULL = type(None)
-_NUMBER = (int, float)
-
-# field -> the JSON types its value may have (docs/schemas.md); checked
-# with type(), so a bool is never taken for a number
-_RECORD_TYPES = {
-    "scene_id": (str,),
-    "prompt_id": (str,),
-    "run_idx": (int,),
-    "outcome": (str,),
-    "verdict": (bool, _NULL),
-    "label": (bool, _NULL),
-    "scene_lowlight": (bool, _NULL),
-    "box": (list, _NULL),
-    "box_clamped": (bool, _NULL),
-    "box_degenerate": (bool, _NULL),
-    "failure_kind": (str, _NULL),
-    "coerced": (bool,),
-    "fault": (str, _NULL),
-    "latency": _NUMBER,
-    "raw_text": (str,),
-    "overlap": (bool, _NULL),
-    "recall": (*_NUMBER, _NULL),
-    "iou": (*_NUMBER, _NULL),
-}
-
-RESULT_RECORD_FIELDS = tuple(_RECORD_TYPES)
-
-_ABSENT = object()
-_FAILURE_KINDS = frozenset(kind.value for kind in FailureKind)
 # outcome -> the field its detection is rebuilt from
 _OUTCOME_NEEDS = {"fault": None, "verdict": "verdict", "located": "box", "failure": "failure_kind"}
+
+# one result record (docs/schemas.md), fields in emission order
+_RECORD_SHAPE = Fields(
+    {
+        "scene_id": (str,),
+        "prompt_id": (str,),
+        "run_idx": (int,),
+        "outcome": frozenset(_OUTCOME_NEEDS),
+        "verdict": (bool, NULL),
+        "label": (bool, NULL),
+        "scene_lowlight": (bool, NULL),
+        "box": Nullable(FOUR_NUMBERS),
+        "box_clamped": (bool, NULL),
+        "box_degenerate": (bool, NULL),
+        "failure_kind": Nullable(frozenset(kind.value for kind in FailureKind)),
+        "coerced": (bool,),
+        "fault": (str, NULL),
+        "latency": NUMBER,
+        "raw_text": (str,),
+        "overlap": (bool, NULL),
+        "recall": (*NUMBER, NULL),
+        "iou": (*NUMBER, NULL),
+    },
+    others=True,
+)
+
+RESULT_RECORD_FIELDS = tuple(_RECORD_SHAPE.fields)
+
+# v2v_link.json, the link next to a stored transcript
+_LINK_SHAPE = Fields({"rate_bps": NUMBER, "overhead": NUMBER, "stream_bytes": NON_NEGATIVE_INT})
 
 # (summary CSV, records file) of a localization run (exp2) and of a prompt
 # comparison (exp3); only exp2 adds failures.csv
@@ -162,33 +164,22 @@ def result_to_record(
     }
 
 
-def _check_record(record) -> None:
-    """Raise ReportError unless ``record`` is a result record of the documented shape."""
-    if type(record) is not dict:
-        raise ReportError("result record is not a JSON object")
-    for name, types in _RECORD_TYPES.items():
-        value = record.get(name, _ABSENT)
-        if type(value) not in types:
-            if value is _ABSENT:
-                raise ReportError(f"result record missing field {name!r}")
-            raise ReportError(f"field {name!r} has type {type(value).__name__}")
-    box, failure_kind = record["box"], record["failure_kind"]
-    if box is not None and (len(box) != 4 or not all(type(v) in _NUMBER for v in box)):
-        raise ReportError("field 'box' must be four numbers")
-    if failure_kind is not None and failure_kind not in _FAILURE_KINDS:
-        raise ReportError(f"unknown failure_kind {failure_kind!r}")
-    outcome = record["outcome"]
-    if outcome not in _OUTCOME_NEEDS:
-        raise ReportError(f"unknown outcome {outcome!r}")
-    needed = _OUTCOME_NEEDS[outcome]
+def _record_problem(record) -> str | None:
+    """What keeps ``record`` from being a result record of the documented shape."""
+    found = problems(record, _RECORD_SHAPE)
+    if found:
+        return describe(*found[0])
+    needed = _OUTCOME_NEEDS[record["outcome"]]
     if needed is not None and record[needed] is None:
-        raise ReportError(f"{outcome} record has no {needed}")
+        return f"{record['outcome']} record has no {needed}"
+    return None
 
 
 def record_to_result(record: dict) -> tuple[RunResult, LocalizationSample | None]:
     """Inverse of result_to_record, used by the report re-rendering path."""
     try:
         outcome = record["outcome"]
+        raw_excerpt = excerpt(record["raw_text"])
         detection: ParsedDetection | None
         if outcome == "fault":
             detection = None
@@ -196,7 +187,7 @@ def record_to_result(record: dict) -> tuple[RunResult, LocalizationSample | None
             detection = ParsedDetection(
                 kind=DetectionKind.VERDICT,
                 verdict=record["verdict"],
-                raw_excerpt=record["raw_text"][:200],
+                raw_excerpt=raw_excerpt,
                 coerced=record["coerced"],
             )
         elif outcome == DetectionKind.LOCATED:
@@ -204,13 +195,13 @@ def record_to_result(record: dict) -> tuple[RunResult, LocalizationSample | None
             detection = ParsedDetection(
                 kind=DetectionKind.LOCATED,
                 box=NormalizedBBox(x, y, x2, y2, clamped=record["box_clamped"]),
-                raw_excerpt=record["raw_text"][:200],
+                raw_excerpt=raw_excerpt,
             )
         elif outcome == DetectionKind.FAILURE:
             detection = ParsedDetection(
                 kind=DetectionKind.FAILURE,
                 failure_kind=FailureKind(record["failure_kind"]),
-                raw_excerpt=record["raw_text"][:200],
+                raw_excerpt=raw_excerpt,
             )
         else:
             raise ReportError(f"unknown outcome {outcome!r}")
@@ -235,7 +226,7 @@ def record_to_result(record: dict) -> tuple[RunResult, LocalizationSample | None
             )
     except KeyError as e:
         raise ReportError(f"result record missing field {e}") from None
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, NonFiniteInput) as e:
         raise ReportError(f"malformed result record: {e}") from e
     return result, sample
 
@@ -545,10 +536,9 @@ def _load_records(path: Path) -> list[dict]:
             record = json.loads(line)
         except json.JSONDecodeError as e:
             raise ReportError(f"{path.name} line {line_no}: invalid JSON ({e.msg})") from e
-        try:
-            _check_record(record)
-        except ReportError as e:
-            raise ReportError(f"{path.name} line {line_no}: {e}") from None
+        problem = _record_problem(record)
+        if problem is not None:
+            raise ReportError(f"{path.name} line {line_no}: {problem}")
         records.append(record)
     return records
 
@@ -606,25 +596,19 @@ def rebuild_transcript(transcript_path: Path, link_path: Path) -> DialogueTransc
         sizes.append(len(data))
     try:
         meta = json.loads(link_path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as e:
+        raise ReportError(f"cannot read link metadata {link_path.name}: {e}") from e
+    found = problems(meta, _LINK_SHAPE)
+    if found:
+        raise ReportError(f"{link_path.name}: {describe(*found[0])}")
+    try:
         # keep the parsed numeric types so re-encoding stays byte-identical
         link = LinkModel(rate=meta["rate_bps"], overhead=meta["overhead"])
-        stream_bytes = int(meta["stream_bytes"])
-    except (OSError, TypeError, ValueError, KeyError, json.JSONDecodeError) as e:
-        raise ReportError(f"cannot read link metadata {link_path.name}: {e}") from e
-    return DialogueTranscript(
-        messages=tuple(messages), sizes=tuple(sizes), link=link, stream_bytes=stream_bytes
-    )
-
-
-def lowlight_share_from_records(records: list[dict]) -> float | None:
-    """Low-light failure share recomputed from self-contained records."""
-    failure_scenes: dict[str, bool] = {}
-    for record in records:
-        if record["outcome"] == "failure":
-            failure_scenes.setdefault(record["scene_id"], bool(record["scene_lowlight"]))
-    if not failure_scenes:
-        return None
-    return sum(failure_scenes.values()) / len(failure_scenes)
+        return DialogueTranscript(
+            messages=tuple(messages), sizes=tuple(sizes), link=link, stream_bytes=meta["stream_bytes"]
+        )
+    except ValueError as e:
+        raise ReportError(f"cannot rebuild the transcript in {transcript_path.parent}: {e}") from e
 
 
 def consistency_or_none(results) -> list[ConsistencyRecord] | None:
@@ -668,8 +652,6 @@ def rerender(in_dir: str | Path, targets) -> list[Path]:
                 labels[r["scene_id"]] = r["label"]
             if r["scene_lowlight"] is not None:
                 lowlight[r["scene_id"]] = r["scene_lowlight"]
-        if part == "localization":
-            bundle_kwargs["lowlight_share"] = lowlight_share_from_records(records)
 
     transcript_path = in_path / "v2v_transcript.jsonl"
     if transcript_path.is_file():
@@ -682,5 +664,9 @@ def rerender(in_dir: str | Path, targets) -> list[Path]:
     if all_results:
         bundle_kwargs.update(
             labels=labels, lowlight=lowlight, consistency=consistency_or_none(all_results)
+        )
+    if "localization" in bundle_kwargs:
+        bundle_kwargs["lowlight_share"] = failure_lowlight_share(
+            bundle_kwargs["localization"].results, lowlight
         )
     return emit_report(ReportBundle(**bundle_kwargs), targets, in_path)

@@ -1,0 +1,124 @@
+"""Declarative shapes of decoded JSON and the one checker that walks them.
+
+The manifest, the scenario file, result records, the V2V link metadata
+and V2V messages each have one shape table beside the code that reads
+them. A shape is a tuple of types (compared with ``type()``, so a bool is
+never a number), a frozenset of allowed strings, ``Fields``, ``ListOf``,
+``Nullable`` or a named ``Rule``. ``problems`` returns the ``(field path,
+reason)`` pairs that each reader raises its own error from; a value that
+fits costs no path strings.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Callable
+
+NULL = type(None)
+NUMBER = (int, float)
+
+_ABSENT = object()
+
+
+class Fields:
+    """An object with these required and optional keys, and others only if ``others``."""
+
+    def __init__(self, required: dict, optional: dict | None = None, others: bool = False) -> None:
+        self.fields = {**required, **(optional or {})}
+        # (name, shape, type of shape, nullable) with Nullable unwrapped, so
+        # that the walk decides the commonest fits without a call
+        self.entries = tuple(
+            (name, sub.shape, type(sub.shape), True)
+            if type(sub) is Nullable
+            else (name, sub, type(sub), False)
+            for name, sub in self.fields.items()
+        )
+        self.optional = frozenset(optional or ())
+        self.others = others
+
+
+# plain classes, not dataclasses: each dataclass adds about a millisecond
+# to the import of fovlink.cli
+class ListOf:
+    def __init__(self, item: Any) -> None:
+        self.item = item
+
+
+class Nullable:
+    def __init__(self, shape: Any) -> None:
+        self.shape = shape
+
+
+class Rule:
+    def __init__(self, reason: str, test: Callable[[Any], bool]) -> None:
+        self.reason = reason  # what a valid value must be
+        self.test = test
+
+
+NON_EMPTY_STR = Rule("must be a non-empty string", lambda v: type(v) is str and v != "")
+NON_NEGATIVE_INT = Rule("must be a non-negative integer", lambda v: type(v) is int and v >= 0)
+FOUR_NUMBERS = Rule(
+    "must be four numbers",
+    lambda v: type(v) is list and len(v) == 4 and all(type(x) in NUMBER for x in v),
+)
+
+
+def problems(value: Any, shape: Any) -> list[tuple[str, str]]:
+    """Every ``(field path, reason)`` where ``value`` breaks ``shape``, in table order."""
+    found: list[tuple[str, str]] = []
+    _walk(value, shape, "", "", found)
+    return found
+
+
+def describe(path: str, reason: str) -> str:
+    """One problem as text, e.g. ``field 'payload.box' must be an object``."""
+    return f"field {path!r} {reason}" if path else reason
+
+
+def _join(path: str, key: str | int) -> str:
+    if type(key) is int:
+        return f"{path}[{key}]"
+    return f"{path}.{key}" if path else key
+
+
+def _walk(value, shape, path: str, key, found: list) -> None:
+    kind = type(shape)
+    if kind is Fields:
+        if type(value) is not dict:
+            found.append((_join(path, key), "must be an object"))
+            return
+        here = _join(path, key)
+        absent = 0
+        for name, sub, sub_kind, nullable in shape.entries:
+            item = value.get(name, _ABSENT)
+            if sub_kind is tuple and type(item) in sub or nullable and item is None:
+                continue
+            if item is _ABSENT:
+                absent += 1
+                if name not in shape.optional:
+                    found.append((_join(here, name), "is missing"))
+            elif sub_kind is frozenset:
+                if type(item) is not str or item not in sub:
+                    _walk(item, sub, here, name, found)
+            elif sub_kind is not Rule or not sub.test(item):
+                _walk(item, sub, here, name, found)
+        if not shape.others and len(value) != len(shape.fields) - absent:
+            found += [(_join(here, k), "is not a known field") for k in value if k not in shape.fields]
+    elif kind is tuple:
+        if type(value) not in shape:
+            found.append((_join(path, key), f"has type {type(value).__name__}"))
+    elif kind is frozenset:
+        if type(value) is not str or value not in shape:
+            noun = key if key and type(key) is str else "value"
+            found.append((_join(path, key), f"is an unknown {noun} {value!r}"))
+    elif kind is Rule:
+        if not shape.test(value):
+            found.append((_join(path, key), shape.reason))
+    elif kind is Nullable:
+        if value is not None:
+            _walk(value, shape.shape, path, key, found)
+    elif type(value) is not list:  # ListOf
+        found.append((_join(path, key), "must be a list"))
+    else:
+        here = _join(path, key)
+        for index, item in enumerate(value):
+            _walk(item, shape.item, here, index, found)

@@ -107,9 +107,6 @@ class DetectionStats:
             raise UndefinedStatistic(name)
         return value
 
-    def as_dict(self) -> dict[str, float | None]:
-        return {name: getattr(self, name) for name in STAT_NAMES}
-
 
 @dataclass(frozen=True, slots=True)
 class LocalizationSummary:

@@ -18,7 +18,7 @@ analytic transmission delays, never wall-clock.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
@@ -26,11 +26,12 @@ from .dataset import SceneSet
 from .errors import FovlinkError
 from .experiments import query_detection
 from .gateway import Gateway, QueryParams
-from .geometry import NormalizedBBox
+from .geometry import NonFiniteInput, NormalizedBBox
 from .parsing import DetectionKind, FailureKind, ParsedDetection
 # bench/spans.py traces the parsers under these names
 from .parsing import detect_bbox, detect_binary  # noqa: F401
 from .prompts import get_prompt
+from .shape import NON_EMPTY_STR, NON_NEGATIVE_INT, NULL, NUMBER, Fields, ListOf, Nullable, describe, problems
 
 PROTOCOL_VERSION = "1"
 
@@ -45,7 +46,7 @@ class UnsupportedVersion(ProtocolError):
 
 class MalformedMessage(ProtocolError):
     def __init__(self, fld: str, reason: str) -> None:
-        super().__init__(f"field {fld!r}: {reason}")
+        super().__init__(describe(fld, reason))
         self.field = fld
 
 
@@ -128,28 +129,6 @@ def transmission_time(payload_bytes: float, link: LinkModel) -> float:
     return payload_bytes * 8 / (link.rate * (1.0 - link.overhead))
 
 
-def _payload_dict(payload: QueryPayload | ResponsePayload | ErrorPayload) -> dict:
-    if isinstance(payload, QueryPayload):
-        return {"prompt_id": payload.prompt_id, "prompt_text": payload.prompt_text}
-    if isinstance(payload, ResponsePayload):
-        box = None
-        if payload.box is not None:
-            box = {
-                "x": payload.box.x,
-                "y": payload.box.y,
-                "x2": payload.box.x2,
-                "y2": payload.box.y2,
-                "clamped": payload.box.clamped,
-            }
-        return {
-            "presence": payload.presence,
-            "box": box,
-            "description": payload.description,
-            "failure_kind": payload.failure_kind.value if payload.failure_kind else None,
-        }
-    return {"fault": payload.fault}
-
-
 def encode_message(msg: V2VMessage) -> bytes:
     """Canonical UTF-8 encoding: compact JSON with fixed key order."""
     record = {
@@ -159,74 +138,41 @@ def encode_message(msg: V2VMessage) -> bytes:
         "recipient_id": msg.recipient_id,
         "correlation_id": msg.correlation_id,
         "timestamp": msg.timestamp,
-        "payload": _payload_dict(msg.payload),
+        "payload": asdict(msg.payload),
     }
     return json.dumps(record, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
 
 
-def _require_str(record: dict, fld: str) -> str:
-    if fld not in record:
-        raise MalformedMessage(fld, "missing")
-    value = record[fld]
-    if not isinstance(value, str):
-        raise MalformedMessage(fld, f"wrong type {type(value).__name__}")
-    return value
-
-
-def _decode_box(raw: object) -> NormalizedBBox | None:
-    if raw is None:
-        return None
-    if not isinstance(raw, dict) or set(raw) != {"x", "y", "x2", "y2", "clamped"}:
-        raise MalformedMessage("payload.box", "must have keys x, y, x2, y2, clamped")
-    for k in ("x", "y", "x2", "y2"):
-        if not isinstance(raw[k], (int, float)) or isinstance(raw[k], bool):
-            raise MalformedMessage("payload.box", f"{k} must be numeric")
-    if not isinstance(raw["clamped"], bool):
-        raise MalformedMessage("payload.box", "clamped must be boolean")
-    try:
-        return NormalizedBBox(
-            float(raw["x"]), float(raw["y"]), float(raw["x2"]), float(raw["y2"]),
-            clamped=raw["clamped"],
-        )
-    except ValueError as e:
-        raise MalformedMessage("payload.box", str(e)) from e
-
-
-def _decode_payload(msg_type: MsgType, raw: object):
-    if not isinstance(raw, dict):
-        raise MalformedMessage("payload", "must be an object")
-    if msg_type is MsgType.QUERY:
-        if set(raw) != {"prompt_id", "prompt_text"}:
-            raise MalformedMessage("payload", "query payload needs prompt_id, prompt_text")
-        if not isinstance(raw["prompt_id"], str) or not isinstance(raw["prompt_text"], str):
-            raise MalformedMessage("payload", "prompt fields must be strings")
-        return QueryPayload(prompt_id=raw["prompt_id"], prompt_text=raw["prompt_text"])
-    if msg_type is MsgType.RESPONSE:
-        if set(raw) != {"presence", "box", "description", "failure_kind"}:
-            raise MalformedMessage(
-                "payload", "response payload needs presence, box, description, failure_kind"
-            )
-        if not isinstance(raw["presence"], bool):
-            raise MalformedMessage("payload.presence", "must be boolean")
-        if raw["description"] is not None and not isinstance(raw["description"], str):
-            raise MalformedMessage("payload.description", "must be string or null")
-        failure_kind = None
-        if raw["failure_kind"] is not None:
-            try:
-                failure_kind = FailureKind(raw["failure_kind"])
-            except ValueError:
-                raise MalformedMessage(
-                    "payload.failure_kind", f"unknown kind {raw['failure_kind']!r}"
-                ) from None
-        return ResponsePayload(
-            presence=raw["presence"],
-            box=_decode_box(raw["box"]),
-            description=raw["description"],
-            failure_kind=failure_kind,
-        )
-    if set(raw) != {"fault"} or not isinstance(raw["fault"], str):
-        raise MalformedMessage("payload", "error payload needs a string fault")
-    return ErrorPayload(fault=raw["fault"])
+_ENVELOPE = {
+    "version": (str,),
+    "msg_type": frozenset(t.value for t in MsgType),
+    "sender_id": (str,),
+    "recipient_id": (str,),
+    "correlation_id": (str,),
+    "timestamp": NON_NEGATIVE_INT,
+}
+_BOX_SHAPE = Fields({"x": NUMBER, "y": NUMBER, "x2": NUMBER, "y2": NUMBER, "clamped": (bool,)})
+# msg_type -> the shape of its message; payload keys are the payload
+# dataclass fields, which encode_message writes in declaration order
+_MESSAGE_SHAPES = {
+    MsgType.QUERY.value: Fields(
+        {**_ENVELOPE, "payload": Fields({"prompt_id": (str,), "prompt_text": (str,)})}
+    ),
+    MsgType.RESPONSE.value: Fields(
+        {
+            **_ENVELOPE,
+            "payload": Fields(
+                {
+                    "presence": (bool,),
+                    "box": Nullable(_BOX_SHAPE),
+                    "description": (str, NULL),
+                    "failure_kind": Nullable(frozenset(kind.value for kind in FailureKind)),
+                }
+            ),
+        }
+    ),
+    MsgType.ERROR.value: Fields({**_ENVELOPE, "payload": Fields({"fault": (str,)})}),
+}
 
 
 def decode_message(data: bytes) -> V2VMessage:
@@ -234,37 +180,39 @@ def decode_message(data: bytes) -> V2VMessage:
         record = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise MalformedMessage("", f"not valid JSON: {e}") from e
-    if not isinstance(record, dict):
+    if type(record) is not dict:
         raise MalformedMessage("", "message must be an object")
-    version = _require_str(record, "version")
-    if version != PROTOCOL_VERSION:
+    version, msg_type = record.get("version"), record.get("msg_type")
+    if type(version) is str and version != PROTOCOL_VERSION:
         raise UnsupportedVersion(f"unsupported protocol version {version!r}")
-    raw_type = _require_str(record, "msg_type")
-    try:
-        msg_type = MsgType(raw_type)
-    except ValueError:
-        raise MalformedMessage("msg_type", f"unknown type {raw_type!r}") from None
-    sender_id = _require_str(record, "sender_id")
-    recipient_id = _require_str(record, "recipient_id")
-    correlation_id = _require_str(record, "correlation_id")
-    timestamp = record.get("timestamp")
-    if not isinstance(timestamp, int) or isinstance(timestamp, bool) or timestamp < 0:
-        raise MalformedMessage("timestamp", "must be a non-negative integer")
-    if "payload" not in record:
-        raise MalformedMessage("payload", "missing")
-    payload = _decode_payload(msg_type, record["payload"])
-    extra = set(record) - {
-        "version", "msg_type", "sender_id", "recipient_id",
-        "correlation_id", "timestamp", "payload",
-    }
-    if extra:
-        raise MalformedMessage(sorted(extra)[0], "unknown field")
+    # an unknown msg_type fails the check of any of the shapes
+    shape = _MESSAGE_SHAPES.get(msg_type if type(msg_type) is str else "", _MESSAGE_SHAPES["error"])
+    found = problems(record, shape)
+    if found:
+        raise MalformedMessage(*found[0])
+    msg_type, payload = MsgType(msg_type), record["payload"]
+    if msg_type is MsgType.QUERY:
+        payload = QueryPayload(**payload)
+    elif msg_type is MsgType.ERROR:
+        payload = ErrorPayload(**payload)
+    else:
+        box, failure_kind = payload["box"], payload["failure_kind"]
+        try:
+            box = None if box is None else NormalizedBBox(**box)
+        except (ValueError, NonFiniteInput) as e:
+            raise MalformedMessage("payload.box", str(e)) from e
+        payload = ResponsePayload(
+            presence=payload["presence"],
+            box=box,
+            description=payload["description"],
+            failure_kind=None if failure_kind is None else FailureKind(failure_kind),
+        )
     return V2VMessage(
         msg_type=msg_type,
-        sender_id=sender_id,
-        recipient_id=recipient_id,
-        correlation_id=correlation_id,
-        timestamp=timestamp,
+        sender_id=record["sender_id"],
+        recipient_id=record["recipient_id"],
+        correlation_id=record["correlation_id"],
+        timestamp=record["timestamp"],
         payload=payload,
         version=version,
     )
@@ -422,61 +370,49 @@ def run_dialogue(
     )
 
 
-def load_scenario(path: str | Path) -> tuple[VehicleAgent, tuple[VehicleAgent, ...], LinkModel, str]:
-    """Read a scenario config: vehicles, link parameters and the prompt.
+# the scenario file of the v2v command; keys beyond these are ignored
+_SCENARIO_SHAPE = Fields(
+    {
+        "vehicles": ListOf(
+            Fields(
+                {"vehicle_id": NON_EMPTY_STR, "role": frozenset(role.value for role in Role)},
+                {"scene_id": (str, NULL)},
+                others=True,
+            )
+        ),
+        "link": Fields({"rate_bps": NUMBER}, {"overhead": NUMBER}, others=True),
+        "prompt_id": (str,),
+    },
+    others=True,
+)
 
-    Schema: {"vehicles": [{"vehicle_id", "role", "scene_id"?}, ...],
-    "link": {"rate_bps", "overhead"}, "prompt_id": str} with exactly one
-    ego vehicle.
-    """
+
+def load_scenario(path: str | Path) -> tuple[VehicleAgent, tuple[VehicleAgent, ...], LinkModel, str]:
+    """Read a scenario config of ``_SCENARIO_SHAPE`` with exactly one ego vehicle."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as e:
         raise ScenarioError(f"scenario file not found: {path}") from e
     except json.JSONDecodeError as e:
         raise ScenarioError(f"scenario is not valid JSON: {e}") from e
-    if not isinstance(raw, dict):
-        raise ScenarioError("scenario must be a JSON object")
-    for key in ("vehicles", "link", "prompt_id"):
-        if key not in raw:
-            raise ScenarioError(f"scenario missing key {key!r}")
+    found = problems(raw, _SCENARIO_SHAPE)
+    if found:
+        raise ScenarioError(f"scenario: {describe(*found[0])}")
 
-    vehicles: list[VehicleAgent] = []
-    if not isinstance(raw["vehicles"], list) or not raw["vehicles"]:
-        raise ScenarioError("scenario needs a non-empty vehicles list")
-    for i, entry in enumerate(raw["vehicles"]):
-        if not isinstance(entry, dict):
-            raise ScenarioError(f"vehicles[{i}] must be an object")
-        try:
-            role = Role(entry.get("role"))
-        except ValueError:
-            raise ScenarioError(f"vehicles[{i}] has unknown role {entry.get('role')!r}") from None
-        vehicle_id = entry.get("vehicle_id")
-        if not isinstance(vehicle_id, str) or not vehicle_id:
-            raise ScenarioError(f"vehicles[{i}] needs a vehicle_id")
-        try:
-            vehicles.append(
-                VehicleAgent(vehicle_id=vehicle_id, role=role, current_frame=entry.get("scene_id"))
+    try:
+        vehicles = [
+            VehicleAgent(
+                vehicle_id=entry["vehicle_id"], role=Role(entry["role"]), current_frame=entry.get("scene_id")
             )
-        except ValueError as e:
-            raise ScenarioError(str(e)) from e
-
+            for entry in raw["vehicles"]
+        ]
+        link = LinkModel(
+            rate=float(raw["link"]["rate_bps"]), overhead=float(raw["link"].get("overhead", 0.0))
+        )
+    except ValueError as e:
+        raise ScenarioError(str(e)) from e
     egos = [v for v in vehicles if v.role is Role.EGO]
     if len(egos) != 1:
         raise ScenarioError(f"scenario needs exactly one ego vehicle, found {len(egos)}")
     remotes = tuple(v for v in vehicles if v.role is Role.REMOTE)
-
-    link_raw = raw["link"]
-    if not isinstance(link_raw, dict) or "rate_bps" not in link_raw:
-        raise ScenarioError("scenario link needs rate_bps")
-    try:
-        link = LinkModel(
-            rate=float(link_raw["rate_bps"]), overhead=float(link_raw.get("overhead", 0.0))
-        )
-    except (TypeError, ValueError) as e:
-        raise ScenarioError(f"invalid link parameters: {e}") from e
-
-    prompt_id = raw["prompt_id"]
-    if not isinstance(prompt_id, str):
-        raise ScenarioError("prompt_id must be a string")
-    return egos[0], remotes, link, prompt_id
+    return egos[0], remotes, link, raw["prompt_id"]

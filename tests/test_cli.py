@@ -239,6 +239,22 @@ class TestExp2AndExp3:
         comparison = (out / "prompt_comparison.csv").read_text().splitlines()
         assert len(comparison) == 3  # header + P1 + P2
 
+    def test_repeated_prompt_id_is_usage_error(self, workspace, capsys):
+        # a repeated id used to emit the prompt's rows twice, which
+        # `fovlink report` then merged into one row of twice the tests
+        tmp_path, manifest, scenes = workspace
+        fixture = write_fixture(tmp_path, localization_script(scenes, GT_TEMPLATE))
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "exp3", "--manifest", manifest, "--fixture", fixture, "--prompts", "P1,P1,P3",
+                "--runs", 1, "--out", tmp_path / "out",
+            )
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("fovlink exp3: error: argument --prompts: ")
+        assert not (tmp_path / "out").exists()
+
 
 class TestV2V:
     def test_dialogue_simulation(self, workspace, capsys):
@@ -275,6 +291,30 @@ class TestV2V:
         assert (out / "v2v_transcript.jsonl").is_file()
         assert (out / "v2v_comparison.csv").is_file()
         assert (out / "v2v_link.json").is_file()
+
+    def test_non_string_scene_id_is_data_error(self, workspace, capsys):
+        tmp_path, manifest, _ = workspace
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(
+            json.dumps(
+                {
+                    "vehicles": [
+                        {"vehicle_id": "ego", "role": "ego"},
+                        {"vehicle_id": "vehicle_a", "role": "remote", "scene_id": ["pos_a"]},
+                    ],
+                    "link": {"rate_bps": 1000000},
+                    "prompt_id": "P1",
+                }
+            ),
+            encoding="utf-8",
+        )
+        fixture = write_fixture(tmp_path, {script_key("pos_a", "P1", 0): {"text": "yes"}})
+        code = run_cli(
+            "v2v", "--scenario", scenario, "--manifest", manifest, "--fixture", fixture,
+            "--out", tmp_path / "out",
+        )
+        assert code == EXIT_DATA
+        assert "vehicles[1].scene_id" in capsys.readouterr().err
 
     def test_bad_scenario_is_data_error(self, workspace):
         tmp_path, manifest, _ = workspace

@@ -14,6 +14,8 @@ from fovlink.experiments import (
     ExperimentPrecondition,
     InsufficientRuns,
     analyze_run_consistency,
+    failure_lowlight_share,
+    lowlight_by_scene,
     lowlight_failure_share,
     run_binary_experiment,
     run_localization_experiment,
@@ -318,6 +320,17 @@ class TestLowlightShare:
         outcome = run_localization_experiment(scenes, "P1", Gateway(MockBackend(script)), CONFIG_1RUN)
         with pytest.raises(EmptyFailureSet):
             lowlight_failure_share(outcome.results, scenes)
+
+    def test_core_counts_a_scene_without_a_tag_as_not_lowlight(self, tmp_path):
+        outcome, scenes = self._failure_run(tmp_path, 4, 2)
+        lowlight = lowlight_by_scene(scenes)
+        assert failure_lowlight_share(outcome.results, lowlight) == 0.5
+        # s03 has no entry at all, as when its records carry scene_lowlight null
+        del lowlight["s03"]
+        assert failure_lowlight_share(outcome.results, lowlight) == 0.5
+        del lowlight["s00"]
+        assert failure_lowlight_share(outcome.results, lowlight) == 0.25
+        assert failure_lowlight_share((), lowlight) is None
 
 
 class TestDeterminism:

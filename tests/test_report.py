@@ -234,6 +234,32 @@ class TestRerender:
         after = {p.name: p.read_bytes() for p in out.iterdir()}
         assert before == after
 
+    @pytest.mark.parametrize(
+        "link_update",
+        [None, {"stream_bytes": -10}, {"rate_bps": True}],
+        ids=["response-before-query", "negative-stream-bytes", "bool-rate"],
+    )
+    def test_damaged_v2v_directory_is_a_report_error(self, small_manifest, tmp_path, link_update):
+        scenes = load_manifest(small_manifest)
+        remotes = [VehicleAgent("vehicle_a", Role.REMOTE, current_frame="pos_a")]
+        script = {script_key("pos_a", "P1", 0): {"text": GT_TEMPLATE}}
+        transcript = run_dialogue(
+            VehicleAgent("ego", Role.EGO), remotes, scenes, "P1", Gateway(MockBackend(script)),
+            LinkModel(rate=1_000_000, overhead=0.1), QueryParams(backoff_base=0.0),
+        )
+        out = tmp_path / "out"
+        emit_report(ReportBundle(transcript=transcript), ["csv", "records"], out)
+        if link_update is None:
+            lines = (out / "v2v_transcript.jsonl").read_text(encoding="utf-8").splitlines()
+            text = "".join(line + "\n" for line in reversed(lines))
+            (out / "v2v_transcript.jsonl").write_text(text, encoding="utf-8")
+        else:
+            link = {**json.loads((out / "v2v_link.json").read_text(encoding="utf-8")), **link_update}
+            (out / "v2v_link.json").write_text(json.dumps(link), encoding="utf-8")
+        with pytest.raises(ReportError):
+            rerender(out, ["csv", "records"])
+        assert main(["report", "--in", str(out)]) == EXIT_DATA
+
     def test_rerender_requires_known_files(self, tmp_path):
         (tmp_path / "notes.txt").write_text("hello")
         with pytest.raises(ReportError):

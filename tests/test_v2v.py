@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fovlink.dataset import load_manifest
@@ -16,6 +16,7 @@ from fovlink.v2v import (
     LinkModel,
     MalformedMessage,
     MsgType,
+    ProtocolError,
     QueryPayload,
     ResponsePayload,
     Role,
@@ -137,6 +138,13 @@ class TestCodec:
         with pytest.raises(MalformedMessage):
             decode_message(b"\xff\xfe not a message")
 
+    def test_non_finite_box_coordinate_is_malformed(self):
+        raw = json.loads(encode_message(make_response_message(NormalizedBBox(0, 0, 1, 1))))
+        raw["payload"]["box"]["x2"] = float("nan")
+        with pytest.raises(MalformedMessage) as exc:
+            decode_message(json.dumps(raw).encode())
+        assert exc.value.field == "payload.box"
+
 
 identifiers = st.text(min_size=1, max_size=12)
 unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -178,6 +186,60 @@ def messages(draw):
 @given(messages())
 def test_codec_round_trip_property(msg):
     assert decode_message(encode_message(msg)) == msg
+
+
+# JSON types each message field may hold (docs/schemas.md); a swap picks a
+# value of any other type
+_MESSAGE_FIELD_TYPES = {
+    "version": {"str"},
+    "msg_type": {"str"},
+    "sender_id": {"str"},
+    "recipient_id": {"str"},
+    "correlation_id": {"str"},
+    "timestamp": {"int"},
+    "payload": {"dict"},
+    "prompt_id": {"str"},
+    "prompt_text": {"str"},
+    "presence": {"bool"},
+    "box": {"dict", "null"},
+    "description": {"str", "null"},
+    "failure_kind": {"str", "null"},
+    "fault": {"str"},
+    "x": {"int", "float"},
+    "y": {"int", "float"},
+    "x2": {"int", "float"},
+    "y2": {"int", "float"},
+    "clamped": {"bool"},
+}
+_SWAP_VALUES = {"str": "x", "int": 7, "float": 0.5, "bool": True, "null": None, "list": [0.5], "dict": {"k": 1}}
+
+
+def _field_paths(record: dict, prefix: tuple = ()) -> list[tuple[str, ...]]:
+    paths = []
+    for key, value in record.items():
+        paths.append((*prefix, key))
+        if isinstance(value, dict):
+            paths += _field_paths(value, (*prefix, key))
+    return paths
+
+
+@settings(max_examples=150, deadline=None)
+@given(messages())
+def test_damaged_message_raises_only_protocol_error(msg):
+    canonical = encode_message(msg)
+    for path in _field_paths(json.loads(canonical)):
+        swaps = sorted(set(_SWAP_VALUES) - _MESSAGE_FIELD_TYPES[path[-1]])
+        for mutation in ("delete", "nan", *swaps):
+            record = json.loads(canonical)
+            parent = record
+            for key in path[:-1]:
+                parent = parent[key]
+            if mutation == "delete":
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = float("nan") if mutation == "nan" else _SWAP_VALUES[mutation]
+            with pytest.raises(ProtocolError):
+                decode_message(json.dumps(record, ensure_ascii=False).encode("utf-8"))
 
 
 @pytest.fixture
@@ -349,6 +411,24 @@ class TestScenarioFile:
                 "vehicles": [
                     {"vehicle_id": "a", "role": "ego"},
                     {"vehicle_id": "b", "role": "ego"},
+                ],
+                "link": {"rate_bps": 1},
+                "prompt_id": "P1",
+            },
+            {
+                "vehicles": [{"vehicle_id": "a", "role": "ego"}],
+                "link": {"rate_bps": True},
+                "prompt_id": "P1",
+            },
+            {
+                "vehicles": [{"vehicle_id": "a", "role": "ego"}],
+                "link": {"rate_bps": 1, "overhead": "0.1"},
+                "prompt_id": "P1",
+            },
+            {
+                "vehicles": [
+                    {"vehicle_id": "a", "role": "ego"},
+                    {"vehicle_id": "b", "role": "remote", "scene_id": ["pos_a"]},
                 ],
                 "link": {"rate_bps": 1},
                 "prompt_id": "P1",
