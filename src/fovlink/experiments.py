@@ -32,7 +32,7 @@ from .prompts import ExpectedFormat, PromptSpec, get_prompt
 
 LOWLIGHT_TAGS = frozenset({"dusk", "sunset", "shade", "solar_glare"})
 
-DEFAULT_CONSISTENCY_IOU_THRESHOLD = 0.5
+CONSISTENCY_IOU_THRESHOLD = 0.5
 
 
 class ExperimentPrecondition(FovlinkError):
@@ -369,16 +369,13 @@ def _pairwise_iou(a: NormalizedBBox, b: NormalizedBBox) -> float:
     return iou(a, b)
 
 
-def analyze_run_consistency(
-    results: list[RunResult] | tuple[RunResult, ...],
-    iou_threshold: float = DEFAULT_CONSISTENCY_IOU_THRESHOLD,
-) -> list[ConsistencyRecord]:
+def analyze_run_consistency(results: list[RunResult] | tuple[RunResult, ...]) -> list[ConsistencyRecord]:
     """Per (scene, prompt) agreement across repeated runs.
 
     A group is flagged when runs mix outcome kinds (e.g. two boxes and a
     no-pedestrian reply) or, with boxes only, when any pairwise IoU falls
-    below ``iou_threshold``. Cross-run disagreement on the same image is
-    the hallucination signal this harness looks for.
+    below ``CONSISTENCY_IOU_THRESHOLD``. Cross-run disagreement on the
+    same image is the hallucination signal this harness looks for.
     """
     groups: dict[tuple[str, str], list[RunResult]] = {}
     for result in results:
@@ -394,7 +391,7 @@ def analyze_run_consistency(
         if kinds == ("located",):
             boxes = [r.detection.box for r in rs]
             min_iou = min(_pairwise_iou(a, b) for a, b in combinations(boxes, 2))
-            flagged = min_iou < iou_threshold
+            flagged = min_iou < CONSISTENCY_IOU_THRESHOLD
         else:
             flagged = len(kinds) > 1
         records.append(

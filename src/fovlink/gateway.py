@@ -139,10 +139,10 @@ class MockBackend:
     """Replays a fixture script; read-only after load, safe to share."""
 
     simulated = True
+    backend_id = "mock"
 
-    def __init__(self, script: dict[str, dict], backend_id: str = "mock") -> None:
+    def __init__(self, script: dict[str, dict]) -> None:
         self.script = script
-        self.backend_id = backend_id
 
     @classmethod
     def from_file(cls, path: str | Path) -> MockBackend:
@@ -287,9 +287,6 @@ class Gateway:
                 attempts.append(f"attempt {attempt}: {type(e).__name__} ({e})")
                 e.attempts = attempts
                 raise
-            attempts.append(
-                f"attempt {attempt}: ok ({time.monotonic() - attempt_start:.3f}s)"
-            )
             latency = 0.0 if self.backend.simulated else time.monotonic() - started
             return RawResponse(
                 text=text,

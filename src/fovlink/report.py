@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import quantiles
+from typing import Callable
 
 from .errors import FovlinkError
 from .experiments import (
@@ -35,7 +37,7 @@ from .experiments import (
 )
 from .geometry import NonFiniteInput, NormalizedBBox
 from .parsing import DetectionKind, FailureKind, ParsedDetection, excerpt
-from .stats import STAT_NAMES, ConfusionMatrix, DetectionStats, LocalizationSummary
+from .stats import STAT_NAMES, LocalizationSummary
 # bench/spans.py traces the statistics under these names
 from .stats import (  # noqa: F401
     build_confusion_matrix,
@@ -43,7 +45,7 @@ from .stats import (  # noqa: F401
     summarize_localization,
 )
 from .shape import FOUR_NUMBERS, NON_NEGATIVE_INT, NULL, NUMBER, Fields, Nullable, describe, problems
-from .v2v import DialogueTranscript, LinkModel, decode_message, encode_message
+from .v2v import DialogueTranscript, LinkModel, V2VMessage, decode_message, encode_message
 
 log = logging.getLogger(__name__)
 
@@ -82,10 +84,17 @@ RESULT_RECORD_FIELDS = tuple(_RECORD_SHAPE.fields)
 # v2v_link.json, the link next to a stored transcript
 _LINK_SHAPE = Fields({"rate_bps": NUMBER, "overhead": NUMBER, "stream_bytes": NON_NEGATIVE_INT})
 
+# the files that rerender reads back
+_BINARY_RECORDS = "binary_results.jsonl"
+_TRANSCRIPT_FILE = "v2v_transcript.jsonl"
+_LINK_FILE = "v2v_link.json"
 # (summary CSV, records file) of a localization run (exp2) and of a prompt
 # comparison (exp3); only exp2 adds failures.csv
 _LOCALIZATION_FILES = ("localization_summary.csv", "localization_results.jsonl")
 _COMPARISON_FILES = ("prompt_comparison.csv", "comparison_results.jsonl")
+
+# (render target, file name, render) of one output file
+_Output = tuple[str, str, Callable[[], str]]
 
 
 class ReportError(FovlinkError):
@@ -113,10 +122,6 @@ class ReportBundle:
 
 def _pct(value: float | None) -> str:
     return "" if value is None else f"{value * 100:.2f}"
-
-
-def _sec(value: float) -> str:
-    return f"{value:.6f}"
 
 
 def normalize_targets(targets) -> set[str]:
@@ -178,33 +183,17 @@ def _record_problem(record) -> str | None:
 def record_to_result(record: dict) -> tuple[RunResult, LocalizationSample | None]:
     """Inverse of result_to_record, used by the report re-rendering path."""
     try:
-        outcome = record["outcome"]
-        raw_excerpt = excerpt(record["raw_text"])
-        detection: ParsedDetection | None
-        if outcome == "fault":
-            detection = None
-        elif outcome == DetectionKind.VERDICT:
-            detection = ParsedDetection(
-                kind=DetectionKind.VERDICT,
-                verdict=record["verdict"],
-                raw_excerpt=raw_excerpt,
-                coerced=record["coerced"],
-            )
-        elif outcome == DetectionKind.LOCATED:
-            x, y, x2, y2 = record["box"]
-            detection = ParsedDetection(
-                kind=DetectionKind.LOCATED,
-                box=NormalizedBBox(x, y, x2, y2, clamped=record["box_clamped"]),
-                raw_excerpt=raw_excerpt,
-            )
-        elif outcome == DetectionKind.FAILURE:
-            detection = ParsedDetection(
-                kind=DetectionKind.FAILURE,
-                failure_kind=FailureKind(record["failure_kind"]),
-                raw_excerpt=raw_excerpt,
-            )
-        else:
-            raise ReportError(f"unknown outcome {outcome!r}")
+        box, failure_kind = record["box"], record["failure_kind"]
+        failure_kind = None if failure_kind is None else FailureKind(failure_kind)
+        # ParsedDetection rejects fields that do not match the outcome
+        detection = None if record["outcome"] == "fault" else ParsedDetection(
+            kind=DetectionKind(record["outcome"]),
+            verdict=record["verdict"],
+            box=None if box is None else NormalizedBBox(*box, clamped=record["box_clamped"]),
+            failure_kind=failure_kind,
+            raw_excerpt=excerpt(record["raw_text"]),
+            coerced=record["coerced"],
+        )
         result = RunResult(
             scene_id=record["scene_id"],
             prompt_id=record["prompt_id"],
@@ -222,7 +211,7 @@ def record_to_result(record: dict) -> tuple[RunResult, LocalizationSample | None
                 overlap=record["overlap"],
                 recall=record["recall"],
                 iou=record["iou"],
-                failure_kind=None if record["failure_kind"] is None else FailureKind(record["failure_kind"]),
+                failure_kind=failure_kind,
             )
     except KeyError as e:
         raise ReportError(f"result record missing field {e}") from None
@@ -231,24 +220,23 @@ def record_to_result(record: dict) -> tuple[RunResult, LocalizationSample | None
     return result, sample
 
 
-def _write(path: Path, text: str) -> Path:
-    path.write_text(text, encoding="utf-8", newline="")
-    return path
+def _lines(lines) -> str:
+    """Text of ``lines``, each ended by a newline: the body of every CSV, JSONL and SVG file."""
+    return "".join(line + "\n" for line in lines)
 
 
-def _write_records(path: Path, records: list[dict]) -> Path:
-    lines = [json.dumps(r, separators=(",", ":"), ensure_ascii=False) for r in records]
-    return _write(path, "".join(line + "\n" for line in lines))
+def _json_lines(records) -> str:
+    return _lines(json.dumps(r, separators=(",", ":"), ensure_ascii=False) for r in records)
 
 
-def _stats_csv(matrices: list[ConfusionMatrix], stats: list[DetectionStats]) -> str:
+def _stats_csv(binary: BinaryExperimentResult) -> str:
     header = "detection_stats_v1,tp,fn,fp,tn," + ",".join(f"{n}_pct" for n in STAT_NAMES)
     rows = [header]
-    for run_idx, (m, s) in enumerate(zip(matrices, stats)):
+    for run_idx, (m, s) in enumerate(zip(binary.per_run_matrices, binary.per_run_stats)):
         cells = [f"run_{run_idx}", str(m.tp), str(m.fn_), str(m.fp), str(m.tn)]
         cells += [_pct(getattr(s, n)) for n in STAT_NAMES]
         rows.append(",".join(cells))
-    return "\n".join(rows) + "\n"
+    return _lines(rows)
 
 
 _SUMMARY_COLUMNS = (
@@ -278,19 +266,14 @@ def _summary_csv(rows: list[tuple[str, LocalizationSummary]]) -> str:
             _pct(s.iou_mean_overlapping),
         ]
         lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return _lines(lines)
 
 
-def _failures_csv(samples: list[LocalizationSample], lowlight_share: float | None) -> str:
-    counts = {kind: 0 for kind in FailureKind}
-    for sample in samples:
-        if sample.failure_kind is not None:
-            counts[sample.failure_kind] += 1
-    lines = ["failure_taxonomy_v1,value"]
-    for kind in FailureKind:
-        lines.append(f"{kind.value},{counts[kind]}")
+def _failures_csv(samples: tuple[LocalizationSample, ...], lowlight_share: float | None) -> str:
+    counts = Counter(sample.failure_kind for sample in samples)
+    lines = ["failure_taxonomy_v1,value", *(f"{kind.value},{counts[kind]}" for kind in FailureKind)]
     lines.append(f"lowlight_failure_share_pct,{_pct(lowlight_share)}")
-    return "\n".join(lines) + "\n"
+    return _lines(lines)
 
 
 def _consistency_csv(records: list[ConsistencyRecord]) -> str:
@@ -300,22 +283,21 @@ def _consistency_csv(records: list[ConsistencyRecord]) -> str:
         lines.append(
             f"{r.scene_id},{r.prompt_id},{r.n_runs},{'|'.join(r.kinds)},{min_iou},{str(r.flagged).lower()}"
         )
-    return "\n".join(lines) + "\n"
+    return _lines(lines)
 
 
 def _transport_csv(transcript: DialogueTranscript) -> str:
-    comparison = transcript.comparison()
-    ratio = "" if comparison.ratio is None else f"{comparison.ratio:.6f}"
+    ratio = "" if transcript.ratio is None else f"{transcript.ratio:.6f}"
     lines = [
         "v2v_comparison_v1,value",
         f"n_messages,{len(transcript.messages)}",
-        f"dialogue_bytes,{comparison.dialogue_bytes}",
-        f"dialogue_time_s,{_sec(comparison.dialogue_time)}",
-        f"stream_bytes,{comparison.stream_bytes}",
-        f"stream_time_s,{_sec(comparison.stream_time)}",
+        f"dialogue_bytes,{transcript.dialogue_bytes}",
+        f"dialogue_time_s,{transcript.dialogue_time:.6f}",
+        f"stream_bytes,{transcript.stream_bytes}",
+        f"stream_time_s,{transcript.stream_time:.6f}",
         f"ratio,{ratio}",
     ]
-    return "\n".join(lines) + "\n"
+    return _lines(lines)
 
 
 def _five_numbers(values: list[float]) -> tuple[float, float, float, float, float]:
@@ -327,19 +309,26 @@ def _five_numbers(values: list[float]) -> tuple[float, float, float, float, floa
     return ordered[0], q1, median, q3, ordered[-1]
 
 
+_CHART_WIDTH, _CHART_HEIGHT = 480, 320
+
+
+def _chart(parts: list[str]) -> str:
+    """SVG text of ``parts`` on the white canvas that every chart shares."""
+    size = f'width="{_CHART_WIDTH}" height="{_CHART_HEIGHT}"'
+    frame = [f'<svg xmlns="http://www.w3.org/2000/svg" {size}>', f'<rect x="0" y="0" {size} fill="white"/>']
+    return _lines([*frame, *parts, "</svg>"])
+
+
 def _recall_boxplot_svg(groups: list[tuple[str, list[float]]]) -> str:
     """Box plot of per-sample recall, one box per prompt."""
-    width, height = 480, 320
+    width, height = _CHART_WIDTH, _CHART_HEIGHT
     left, right, top, bottom = 60, 20, 20, 40
     plot_w, plot_h = width - left - right, height - top - bottom
 
     def y_of(v: float) -> float:
         return top + (1.0 - v) * plot_h
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-    ]
+    parts = []
     for tick in (0.0, 0.25, 0.5, 0.75, 1.0):
         y = y_of(tick)
         parts.append(
@@ -372,8 +361,7 @@ def _recall_boxplot_svg(groups: list[tuple[str, list[float]]]) -> str:
             f'<text x="{cx:.2f}" y="{height - bottom + 18}" text-anchor="middle" '
             f'font-size="12" font-family="sans-serif">{label}</text>'
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _chart(parts)
 
 
 def _iou_share_svg(ious: list[float]) -> str:
@@ -382,15 +370,12 @@ def _iou_share_svg(ious: list[float]) -> str:
     for v in ious:
         buckets[min(9, int(v * 10))] += 1
     total = len(ious)
-    width, height = 480, 320
+    width, height = _CHART_WIDTH, _CHART_HEIGHT
     left, right, top, bottom = 60, 20, 20, 50
     plot_w, plot_h = width - left - right, height - top - bottom
     max_share = max((c / total for c in buckets), default=0.0) or 1.0
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-    ]
+    parts = []
     slot = plot_w / 10
     for i, count in enumerate(buckets):
         share = count / total if total else 0.0
@@ -412,8 +397,7 @@ def _iou_share_svg(ious: list[float]) -> str:
         f'<text x="{left + plot_w / 2:.2f}" y="{height - 8}" text-anchor="middle" '
         'font-size="11" font-family="sans-serif">IoU bucket (overlapping tests)</text>'
     )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _chart(parts)
 
 
 def _records(
@@ -434,32 +418,57 @@ def _records(
     ]
 
 
-def _emit_localization(
-    comparison: PromptComparison,
-    files: tuple[str, str],
-    bundle: ReportBundle,
-    resolved: set[str],
-    out: Path,
-) -> list[Path]:
+def _localization_outputs(
+    comparison: PromptComparison, files: tuple[str, str], bundle: ReportBundle
+) -> list[_Output]:
     """Summary CSV, records and charts of localization runs, one per prompt."""
     summary_name, records_name = files
     runs = [comparison.runs[pid] for pid in comparison.prompt_ids]
-    written = []
-    if "csv" in resolved:
-        written.append(_write(out / summary_name, _summary_csv(comparison.summary_table())))
-    if "records" in resolved:
-        records = [record for run in runs for record in _records(run.results, bundle, run.samples)]
-        written.append(_write_records(out / records_name, records))
-    if "svg" in resolved:
-        groups = [
-            (pid, [s.recall for s in run.samples]) for pid, run in zip(comparison.prompt_ids, runs)
+    groups = [(pid, [s.recall for s in run.samples]) for pid, run in zip(comparison.prompt_ids, runs)]
+    overlapping = [s.iou for run in runs for s in run.samples if s.overlap]
+    outputs: list[_Output] = [
+        ("csv", summary_name, lambda: _summary_csv(comparison.summary_table())),
+        (
+            "records",
+            records_name,
+            lambda: _json_lines(r for run in runs for r in _records(run.results, bundle, run.samples)),
+        ),
+    ]
+    if any(values for _, values in groups):
+        outputs.append(("svg", "recall_distribution.svg", lambda: _recall_boxplot_svg(groups)))
+    if overlapping:
+        outputs.append(("svg", "iou_shares.svg", lambda: _iou_share_svg(overlapping)))
+    return outputs
+
+
+def _outputs(bundle: ReportBundle) -> list[_Output]:
+    """Every file that the present parts of ``bundle`` render to."""
+    outputs: list[_Output] = []
+    binary, loc, transcript = bundle.binary, bundle.localization, bundle.transcript
+    if binary is not None:
+        outputs += [
+            ("csv", "detection_stats.csv", lambda: _stats_csv(binary)),
+            ("records", _BINARY_RECORDS, lambda: _json_lines(_records(binary.results, bundle))),
         ]
-        if any(values for _, values in groups):
-            written.append(_write(out / "recall_distribution.svg", _recall_boxplot_svg(groups)))
-        overlapping = [s.iou for run in runs for s in run.samples if s.overlap]
-        if overlapping:
-            written.append(_write(out / "iou_shares.svg", _iou_share_svg(overlapping)))
-    return written
+    if loc is not None:
+        # exp2 is a prompt comparison over its one prompt
+        prompt_id = loc.results[0].prompt_id if loc.results else "P?"
+        single = PromptComparison(prompt_ids=(prompt_id,), runs={prompt_id: loc})
+        outputs += _localization_outputs(single, _LOCALIZATION_FILES, bundle)
+        outputs.append(("csv", "failures.csv", lambda: _failures_csv(loc.samples, bundle.lowlight_share)))
+    if bundle.comparison is not None:
+        outputs += _localization_outputs(bundle.comparison, _COMPARISON_FILES, bundle)
+    if bundle.consistency is not None:
+        outputs.append(("csv", "consistency.csv", lambda: _consistency_csv(bundle.consistency)))
+    if transcript is not None:
+        link, messages = transcript.link, transcript.messages
+        meta = {"rate_bps": link.rate, "overhead": link.overhead, "stream_bytes": transcript.stream_bytes}
+        outputs += [
+            ("records", _TRANSCRIPT_FILE, lambda: _lines(encode_message(m).decode() for m in messages)),
+            ("records", _LINK_FILE, lambda: _json_lines([meta])),
+            ("csv", "v2v_comparison.csv", lambda: _transport_csv(transcript)),
+        ]
+    return outputs
 
 
 def emit_report(bundle: ReportBundle, targets, out_dir: str | Path) -> list[Path]:
@@ -471,100 +480,62 @@ def emit_report(bundle: ReportBundle, targets, out_dir: str | Path) -> list[Path
     resolved = normalize_targets(targets)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    if bundle.binary is not None:
-        b = bundle.binary
-        if "csv" in resolved:
-            written.append(
-                _write(
-                    out / "detection_stats.csv",
-                    _stats_csv(list(b.per_run_matrices), list(b.per_run_stats)),
-                )
-            )
-        if "records" in resolved:
-            records = _records(b.results, bundle)
-            written.append(_write_records(out / "binary_results.jsonl", records))
-
-    if bundle.localization is not None:
-        # exp2 is a prompt comparison over its one prompt
-        loc = bundle.localization
-        prompt_id = loc.results[0].prompt_id if loc.results else "P?"
-        single = PromptComparison(prompt_ids=(prompt_id,), runs={prompt_id: loc})
-        written += _emit_localization(single, _LOCALIZATION_FILES, bundle, resolved, out)
-        if "csv" in resolved:
-            failures = _failures_csv(list(loc.samples), bundle.lowlight_share)
-            written.append(_write(out / "failures.csv", failures))
-
-    if bundle.comparison is not None:
-        written += _emit_localization(bundle.comparison, _COMPARISON_FILES, bundle, resolved, out)
-
-    if bundle.consistency is not None and "csv" in resolved:
-        written.append(_write(out / "consistency.csv", _consistency_csv(bundle.consistency)))
-
-    if bundle.transcript is not None:
-        if "records" in resolved:
-            lines = [encode_message(m).decode("utf-8") for m in bundle.transcript.messages]
-            written.append(
-                _write(out / "v2v_transcript.jsonl", "".join(line + "\n" for line in lines))
-            )
-            link_record = {
-                "rate_bps": bundle.transcript.link.rate,
-                "overhead": bundle.transcript.link.overhead,
-                "stream_bytes": bundle.transcript.stream_bytes,
-            }
-            written.append(
-                _write(
-                    out / "v2v_link.json",
-                    json.dumps(link_record, separators=(",", ":")) + "\n",
-                )
-            )
-        if "csv" in resolved:
-            written.append(_write(out / "v2v_comparison.csv", _transport_csv(bundle.transcript)))
-
+    written = []
+    for target, name, render in _outputs(bundle):
+        if target in resolved:
+            path = out / name
+            path.write_text(render(), encoding="utf-8", newline="")
+            written.append(path)
     if not written:
         log.warning("emit_report: empty bundle, nothing rendered")
     return sorted(written)
 
 
-def _load_records(path: Path) -> list[dict]:
-    records = []
+def _read_lines(path: Path, decode: Callable[[str], object]) -> list:
+    """``decode`` of each non-blank line of ``path``; a decode error names the file and line."""
+    decoded = []
     for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise ReportError(f"{path.name} line {line_no}: invalid JSON ({e.msg})") from e
-        problem = _record_problem(record)
-        if problem is not None:
-            raise ReportError(f"{path.name} line {line_no}: {problem}")
-        records.append(record)
-    return records
+        if line.strip():
+            try:
+                decoded.append(decode(line))
+            except FovlinkError as e:
+                raise ReportError(f"{path.name} line {line_no}: {e}") from e
+    return decoded
+
+
+def _decode_record(line: str) -> dict:
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as e:
+        raise ReportError(f"invalid JSON ({e.msg})") from e
+    problem = _record_problem(record)
+    if problem is not None:
+        raise ReportError(problem)
+    return record
+
+
+def _decode_wire(line: str) -> tuple[V2VMessage, int]:
+    """One transcript line as its message and its size on the wire."""
+    data = line.encode("utf-8")
+    return decode_message(data), len(data)
 
 
 def _decode(records: list[dict]) -> tuple[tuple[RunResult, ...], tuple[LocalizationSample, ...]]:
     """Results and samples of ``records``, in the order the experiments produce them."""
-    results = []
-    samples = []
-    for record in records:
-        result, sample = record_to_result(record)
-        results.append(result)
-        if sample is not None:
-            samples.append(sample)
-    results.sort(key=lambda r: (r.scene_id, r.prompt_id, r.run_idx))
-    samples.sort(key=lambda s: (s.scene_id, s.run_idx))
+    decoded = [record_to_result(record) for record in records]
+    results = sorted((r for r, _ in decoded), key=lambda r: (r.scene_id, r.prompt_id, r.run_idx))
+    samples = sorted((s for _, s in decoded if s is not None), key=lambda s: (s.scene_id, s.run_idx))
     return tuple(results), tuple(samples)
 
 
-def rebuild_binary(records: list[dict]) -> tuple[BinaryExperimentResult, dict[str, bool]]:
+def rebuild_binary(records: list[dict]) -> BinaryExperimentResult:
     """Reconstruct a binary experiment from its emitted records."""
     if not records:
         raise ReportError("no binary result records")
     results, _ = _decode(records)
     labels = {r["scene_id"]: r["label"] for r in records if r["label"] is not None}
     n_runs = max(r.run_idx for r in results) + 1
-    return binary_result(results, sorted(labels.items()), n_runs), labels
+    return binary_result(results, sorted(labels.items()), n_runs)
 
 
 def rebuild_localization(records: list[dict]) -> LocalizationExperimentResult:
@@ -586,14 +557,7 @@ def rebuild_comparison(records: list[dict]) -> PromptComparison:
 
 def rebuild_transcript(transcript_path: Path, link_path: Path) -> DialogueTranscript:
     """Reconstruct a dialogue transcript from its emitted files."""
-    messages = []
-    sizes = []
-    for line in transcript_path.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        data = line.encode("utf-8")
-        messages.append(decode_message(data))
-        sizes.append(len(data))
+    wire = _read_lines(transcript_path, _decode_wire)
     try:
         meta = json.loads(link_path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as e:
@@ -605,7 +569,10 @@ def rebuild_transcript(transcript_path: Path, link_path: Path) -> DialogueTransc
         # keep the parsed numeric types so re-encoding stays byte-identical
         link = LinkModel(rate=meta["rate_bps"], overhead=meta["overhead"])
         return DialogueTranscript(
-            messages=tuple(messages), sizes=tuple(sizes), link=link, stream_bytes=meta["stream_bytes"]
+            messages=tuple(m for m, _ in wire),
+            sizes=tuple(size for _, size in wire),
+            link=link,
+            stream_bytes=meta["stream_bytes"],
         )
     except ValueError as e:
         raise ReportError(f"cannot rebuild the transcript in {transcript_path.parent}: {e}") from e
@@ -622,8 +589,8 @@ def consistency_or_none(results) -> list[ConsistencyRecord] | None:
 def rerender(in_dir: str | Path, targets) -> list[Path]:
     """Re-render reports from the record files found in ``in_dir``.
 
-    Recognizes binary_results.jsonl, localization_results.jsonl,
-    comparison_results.jsonl and v2v_transcript.jsonl (+ v2v_link.json).
+    Recognizes the record files and the V2V transcript (with its link)
+    that emit_report writes.
     """
     in_path = Path(in_dir)
     if not in_path.is_dir():
@@ -635,7 +602,7 @@ def rerender(in_dir: str | Path, targets) -> list[Path]:
 
     # built per call so the rebuild functions are looked up when they run
     sources = (
-        ("binary", "binary_results.jsonl", lambda records: rebuild_binary(records)[0]),
+        ("binary", _BINARY_RECORDS, rebuild_binary),
         ("localization", _LOCALIZATION_FILES[1], rebuild_localization),
         ("comparison", _COMPARISON_FILES[1], rebuild_comparison),
     )
@@ -643,7 +610,7 @@ def rerender(in_dir: str | Path, targets) -> list[Path]:
         path = in_path / name
         if not path.is_file():
             continue
-        records = _load_records(path)
+        records = _read_lines(path, _decode_record)
         outcome = rebuild(records)
         bundle_kwargs[part] = outcome
         all_results.extend(outcome.results)
@@ -653,11 +620,9 @@ def rerender(in_dir: str | Path, targets) -> list[Path]:
             if r["scene_lowlight"] is not None:
                 lowlight[r["scene_id"]] = r["scene_lowlight"]
 
-    transcript_path = in_path / "v2v_transcript.jsonl"
+    transcript_path = in_path / _TRANSCRIPT_FILE
     if transcript_path.is_file():
-        bundle_kwargs["transcript"] = rebuild_transcript(
-            transcript_path, in_path / "v2v_link.json"
-        )
+        bundle_kwargs["transcript"] = rebuild_transcript(transcript_path, in_path / _LINK_FILE)
 
     if not bundle_kwargs:
         raise ReportError(f"no recognized result files in {in_path}")

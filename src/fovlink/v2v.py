@@ -18,7 +18,8 @@ analytic transmission delays, never wall-clock.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+import math
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from pathlib import Path
 
@@ -82,8 +83,8 @@ class LinkModel:
     overhead: float = 0.0  # fraction of the link consumed by protocol overhead
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ValueError("link rate must be positive")
+        if not 0 < self.rate < math.inf:
+            raise ValueError(f"link rate must be finite and positive, got {self.rate!r}")
         if not 0.0 <= self.overhead < 1.0:
             raise ValueError("overhead must be in [0,1)")
 
@@ -218,24 +219,12 @@ def decode_message(data: bytes) -> V2VMessage:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class TransportComparison:
-    stream_bytes: int
-    stream_time: float
-    dialogue_bytes: int
-    dialogue_time: float
-    ratio: float | None  # dialogue_bytes / stream_bytes, None when undefined
-
-
 @dataclass(frozen=True)
 class DialogueTranscript:
     messages: tuple[V2VMessage, ...]
     sizes: tuple[int, ...]
     link: LinkModel
     stream_bytes: int
-    dialogue_bytes: int = field(init=False)
-    dialogue_time: float = field(init=False)
-    stream_time: float = field(init=False)
 
     def __post_init__(self) -> None:
         if len(self.messages) != len(self.sizes):
@@ -248,30 +237,34 @@ class DialogueTranscript:
                 raise ValueError(
                     f"response correlation_id {msg.correlation_id!r} has no prior query"
                 )
-        object.__setattr__(self, "dialogue_bytes", sum(self.sizes))
-        object.__setattr__(
-            self, "dialogue_time", transmission_time(self.dialogue_bytes, self.link)
-        )
-        object.__setattr__(
-            self, "stream_time", transmission_time(self.stream_bytes, self.link)
-        )
 
-    def comparison(self) -> TransportComparison:
-        ratio = self.dialogue_bytes / self.stream_bytes if self.stream_bytes > 0 else None
-        return TransportComparison(
-            stream_bytes=self.stream_bytes,
-            stream_time=self.stream_time,
-            dialogue_bytes=self.dialogue_bytes,
-            dialogue_time=self.dialogue_time,
-            ratio=ratio,
-        )
+    @property
+    def dialogue_bytes(self) -> int:
+        return sum(self.sizes)
+
+    @property
+    def dialogue_time(self) -> float:
+        return transmission_time(self.dialogue_bytes, self.link)
+
+    @property
+    def stream_time(self) -> float:
+        return transmission_time(self.stream_bytes, self.link)
+
+    @property
+    def ratio(self) -> float | None:
+        """dialogue_bytes / stream_bytes, None when nothing would be streamed."""
+        return self.dialogue_bytes / self.stream_bytes if self.stream_bytes > 0 else None
+
+    def comparison(self) -> DialogueTranscript:
+        """The transcript itself, which carries every figure of the comparison."""
+        return self
 
 
 def compare_transport(
     image_sizes: list[int], transcript: DialogueTranscript, link: LinkModel
-) -> TransportComparison:
+) -> DialogueTranscript:
     """Dialogue cost versus streaming the given raw images over ``link``."""
-    return replace(transcript, link=link, stream_bytes=sum(image_sizes)).comparison()
+    return replace(transcript, link=link, stream_bytes=sum(image_sizes))
 
 
 def _response_payload(detection: ParsedDetection) -> ResponsePayload:
@@ -298,7 +291,7 @@ def run_dialogue(
     prompt_id: str,
     gateway: Gateway,
     link: LinkModel,
-    params: QueryParams | None = None,
+    params: QueryParams,
 ) -> DialogueTranscript:
     """One query/response round between the ego and each remote vehicle.
 
@@ -311,7 +304,6 @@ def run_dialogue(
     """
     if ego.role is not Role.EGO:
         raise ValueError(f"vehicle {ego.vehicle_id!r} is not the ego")
-    params = params or QueryParams()
     prompt = get_prompt(prompt_id)
 
     messages: list[V2VMessage] = []

@@ -328,6 +328,29 @@ class TestV2V:
         assert code == EXIT_DATA
 
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+    def test_non_finite_link_rate_is_data_error(self, workspace, capsys, rate):
+        tmp_path, manifest, _ = workspace
+        scenario = tmp_path / "scenario.json"
+        vehicles = [
+            {"vehicle_id": "ego", "role": "ego"},
+            {"vehicle_id": "vehicle_a", "role": "remote", "scene_id": "pos_a"},
+        ]
+        # json.dumps writes the NaN and Infinity literals that json.loads accepts
+        scenario.write_text(
+            json.dumps({"vehicles": vehicles, "link": {"rate_bps": rate}, "prompt_id": "P1"}),
+            encoding="utf-8",
+        )
+        fixture = write_fixture(tmp_path, {script_key("pos_a", "P1", 0): {"text": "yes"}})
+        code = run_cli(
+            "v2v", "--scenario", scenario, "--manifest", manifest, "--fixture", fixture,
+            "--out", tmp_path / "out",
+        )
+        assert code == EXIT_DATA
+        assert "link rate must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestReportCommand:
     def test_rerender_round_trip(self, workspace):
         tmp_path, manifest, scenes = workspace

@@ -3,6 +3,8 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import socket
+import time
 
 import pytest
 
@@ -213,6 +215,26 @@ class TestLiveBackend:
         with pytest.raises(RateLimitedExhausted):
             Gateway(backend).send_vision_query(b"img", "prompt", PARAMS)
         assert calls["n"] == 3
+
+
+    def test_read_timeout_raises_timeout(self):
+        def respond(body):
+            time.sleep(0.6)  # past the client's timeout, then close without a reply
+            return None
+
+        with LoopbackServer(respond) as server:
+            backend = LiveBackend(base_url=server.url)
+            with pytest.raises(Timeout) as raised:
+                Gateway(backend).send_vision_query(b"img", "prompt", QueryParams(timeout=0.2, max_retries=0))
+        assert raised.value.attempts[0].startswith("attempt 1: timeout after ")
+
+    def test_refused_connection_raises_transport_error(self):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            port = listener.getsockname()[1]
+        backend = LiveBackend(base_url=f"http://127.0.0.1:{port}/v1")
+        with pytest.raises(TransportError) as raised:
+            Gateway(backend).send_vision_query(b"img", "prompt", QueryParams(timeout=5.0, max_retries=0))
+        assert raised.value.attempts[0].startswith("attempt 1: transport after ")
 
 
 class TestDroppedConnections:

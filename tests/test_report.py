@@ -329,6 +329,7 @@ class TestMalformedRecords:
             ("localization_results.jsonl", "located", "box", [0.1, 0.2], "four numbers"),
             ("localization_results.jsonl", "failure", "failure_kind", "Bogus", "unknown failure_kind"),
             ("binary_results.jsonl", "verdict", "raw_text", 5, "'raw_text' has type int"),
+            ("localization_results.jsonl", "located", "box", None, "located record has no box"),
         ],
     )
     def test_bad_field_names_file_and_line(self, record_dirs, tmp_path, name, outcome, field, value, reason):
@@ -352,6 +353,72 @@ class TestMalformedRecords:
     def test_record_to_result_raises_report_error(self, fields):
         with pytest.raises(ReportError):
             record_to_result({**dict.fromkeys(RESULT_RECORD_FIELDS), **fields})
+
+
+    @pytest.mark.parametrize(
+        "name,outcome,field,value",
+        [
+            ("binary_results.jsonl", "verdict", "box", [0.1, 0.1, 0.2, 0.2]),
+            ("localization_results.jsonl", "located", "verdict", True),
+            ("comparison_results.jsonl", "failure", "box", [0.1, 0.1, 0.2, 0.2]),
+        ],
+    )
+    def test_fields_that_disagree_with_the_outcome_exit_2(
+        self, record_dirs, tmp_path, capsys, name, outcome, field, value
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(record_dirs[name], out)
+        records = [json.loads(line) for line in (out / name).read_text(encoding="utf-8").splitlines()]
+        next(r for r in records if r["outcome"] == outcome)[field] = value
+        (out / name).write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        assert main(["report", "--in", str(out)]) == EXIT_DATA
+        assert "malformed result record: fields do not match kind" in capsys.readouterr().err
+
+
+@pytest.fixture
+def v2v_dir(small_manifest, tmp_path):
+    """Output directory of a one-remote dialogue: a query line, then a response line."""
+    scenes = load_manifest(small_manifest)
+    remotes = [VehicleAgent("vehicle_a", Role.REMOTE, current_frame="pos_a")]
+    script = {script_key("pos_a", "P1", 0): {"text": GT_TEMPLATE}}
+    transcript = run_dialogue(
+        VehicleAgent("ego", Role.EGO), remotes, scenes, "P1", Gateway(MockBackend(script)),
+        LinkModel(rate=1_000_000, overhead=0.1), QueryParams(backoff_base=0.0),
+    )
+    out = tmp_path / "v2v"
+    emit_report(ReportBundle(transcript=transcript), ["csv", "records"], out)
+    return out
+
+
+class TestDamagedV2VDirectory:
+    def test_bad_transcript_line_names_file_and_line(self, v2v_dir, capsys):
+        path = v2v_dir / "v2v_transcript.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        response = json.loads(lines[1])
+        response["payload"]["presence"] = "yes"
+        lines[1] = json.dumps(response)
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        assert main(["report", "--in", str(v2v_dir)]) == EXIT_DATA
+        expected = "v2v_transcript.jsonl line 2: field 'payload.presence' has type str"
+        assert expected in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+    def test_non_finite_link_rate_exits_2(self, v2v_dir, capsys, rate):
+        path = v2v_dir / "v2v_link.json"
+        link = {**json.loads(path.read_text(encoding="utf-8")), "rate_bps": rate}
+        path.write_text(json.dumps(link), encoding="utf-8")  # writes the NaN/Infinity literal
+        assert main(["report", "--in", str(v2v_dir)]) == EXIT_DATA
+        assert "link rate must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [None, "{not json"], ids=["missing", "not-json"])
+    def test_unreadable_link_exits_2(self, v2v_dir, capsys, text):
+        path = v2v_dir / "v2v_link.json"
+        if text is None:
+            path.unlink()
+        else:
+            path.write_text(text, encoding="utf-8")
+        assert main(["report", "--in", str(v2v_dir)]) == EXIT_DATA
+        assert "cannot read link metadata v2v_link.json" in capsys.readouterr().err
 
 
 # JSON types each record field may hold (docs/schemas.md); a swap picks a
