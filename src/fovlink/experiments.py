@@ -8,12 +8,14 @@ coordinate prompts for a comparative table.
 
 The dispatch unit is one scene: a task reads the scene's frame once and
 asks every (prompt, run) of the experiment about it, so experiment 3
-reads each positive once for all its prompts. Tasks may run on a thread
-pool, holding one frame per worker. Each prompt's results are sorted by
-(scene_id, prompt_id, run_idx) so output never depends on completion
-order. Per-scene gateway faults become recorded fault results; a run
-aborts only when every scene failed for a prompt, or for one run of
-experiment 1.
+reads each positive once for all its prompts. For a backend that waits
+on the network, tasks run on a pool of ``parallelism`` threads, holding
+one frame per worker; a simulated backend never waits, so its tasks run
+on the calling thread whatever the parallelism. Each prompt's results
+are sorted by (scene_id, prompt_id, run_idx) so output never depends on
+completion order. Per-scene gateway faults become recorded fault
+results; a run aborts only when every scene failed for a prompt, or for
+one run of experiment 1.
 """
 
 from __future__ import annotations
@@ -177,7 +179,12 @@ def _dispatch(
     gateway: Gateway,
     config: ExperimentConfig,
 ) -> dict[str, tuple[RunResult, ...]]:
-    """Every (scene, prompt, run) query, one task per scene; results per prompt id."""
+    """Every (scene, prompt, run) query, one task per scene; results per prompt id.
+
+    Tasks share a thread pool only when the backend waits on the network:
+    a simulated backend answers at once, so worker threads would add only
+    interpreter-lock hand-offs, and its tasks run on the calling thread.
+    """
     if not scenes:
         raise ExperimentPrecondition("experiment invoked with zero scenes")
 
@@ -189,7 +196,7 @@ def _dispatch(
             for run_idx in range(config.runs_per_prompt)
         ]
 
-    if config.parallelism == 1:
+    if config.parallelism == 1 or gateway.backend.simulated:
         per_scene = [query_scene(scene) for scene in scenes]
     else:
         with ThreadPoolExecutor(max_workers=config.parallelism) as pool:

@@ -5,6 +5,7 @@ backend (bearer token from FOVLINK_API_KEY, base URL from
 FOVLINK_BASE_URL) and a deterministic scripted mock for tests. Retries
 apply only to transport-level failures and rate-limit signals, never to
 well-formed model replies, with exponential backoff between attempts.
+HTTP 408, 429 and 5xx are retried; any other 4xx fails after one attempt.
 
 Defaults lean towards determinism: temperature 0, max_tokens 300 (enough
 for the coordinate template while still letting verbose-reply failures
@@ -224,6 +225,9 @@ class LiveBackend:
         except urllib.error.HTTPError as e:
             if e.code == 429:
                 raise _BackendFault("rate_limit", f"HTTP 429: {e.reason}") from e
+            if 400 <= e.code < 500 and e.code != 408:
+                # the same request would be refused again: no retry
+                raise TransportError(f"HTTP {e.code}: {e.reason} (client error, not retried)") from e
             raise _BackendFault("transport", f"HTTP {e.code}: {e.reason}") from e
         except TimeoutError as e:
             raise _BackendFault("timeout", str(e) or "request timed out") from e

@@ -93,7 +93,7 @@ class ParsedDetection:
             DetectionKind.FAILURE: self.failure_kind,
         }[self.kind]
         if populated != 1 or expected is None:
-            raise ValueError(f"fields do not match kind {self.kind}")
+            raise ValueError(f"fields do not match kind {self.kind.value}")
 
 
 def excerpt(text: str) -> str:

@@ -51,8 +51,10 @@ log = logging.getLogger(__name__)
 
 RENDER_TARGETS = ("csv", "records", "svg")
 
-# outcome -> the field its detection is rebuilt from
+# outcome -> the field its detection is rebuilt from; of these fields, a
+# record sets exactly its outcome's (a fault record none)
 _OUTCOME_NEEDS = {"fault": None, "verdict": "verdict", "located": "box", "failure": "failure_kind"}
+_DETECTION_FIELDS = tuple(name for name in _OUTCOME_NEEDS.values() if name is not None)
 
 # one result record (docs/schemas.md), fields in emission order
 _RECORD_SHAPE = Fields(
@@ -174,9 +176,13 @@ def _record_problem(record) -> str | None:
     found = problems(record, _RECORD_SHAPE)
     if found:
         return describe(*found[0])
-    needed = _OUTCOME_NEEDS[record["outcome"]]
+    outcome = record["outcome"]
+    needed = _OUTCOME_NEEDS[outcome]
     if needed is not None and record[needed] is None:
-        return f"{record['outcome']} record has no {needed}"
+        return f"{outcome} record has no {needed}"
+    for name in _DETECTION_FIELDS:
+        if name != needed and record[name] is not None:
+            return f"malformed result record: fields do not match kind {outcome}: it has a {name}"
     return None
 
 

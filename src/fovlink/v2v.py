@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
 
@@ -130,8 +130,23 @@ def transmission_time(payload_bytes: float, link: LinkModel) -> float:
     return payload_bytes * 8 / (link.rate * (1.0 - link.overhead))
 
 
+# payload and box types -> their field names in declaration order, the key
+# order on the wire
+_WIRE_FIELDS = {
+    cls: tuple(f.name for f in fields(cls))
+    for cls in (QueryPayload, ResponsePayload, ErrorPayload, NormalizedBBox)
+}
+
+
+def _fields_of(obj) -> dict:
+    return {name: getattr(obj, name) for name in _WIRE_FIELDS[type(obj)]}
+
+
 def encode_message(msg: V2VMessage) -> bytes:
     """Canonical UTF-8 encoding: compact JSON with fixed key order."""
+    payload = _fields_of(msg.payload)
+    if payload.get("box") is not None:
+        payload["box"] = _fields_of(payload["box"])
     record = {
         "version": msg.version,
         "msg_type": msg.msg_type.value,
@@ -139,7 +154,7 @@ def encode_message(msg: V2VMessage) -> bytes:
         "recipient_id": msg.recipient_id,
         "correlation_id": msg.correlation_id,
         "timestamp": msg.timestamp,
-        "payload": asdict(msg.payload),
+        "payload": payload,
     }
     return json.dumps(record, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
 

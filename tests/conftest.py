@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+from http import HTTPStatus
 from pathlib import Path
 
 import pytest
@@ -74,10 +75,10 @@ def small_manifest(tmp_path: Path) -> Path:
     return write_manifest(tmp_path, records)
 
 
-def http_reply(body: bytes, *, length: int | None = None) -> bytes:
-    """Raw HTTP/1.1 200 response; ``length`` overrides Content-Length to cut the body short."""
+def http_reply(body: bytes, *, length: int | None = None, status: int = 200) -> bytes:
+    """Raw HTTP/1.1 response; ``length`` overrides Content-Length to cut the body short."""
     head = (
-        "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+        f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\nContent-Type: application/json\r\n"
         f"Content-Length: {len(body) if length is None else length}\r\nConnection: close\r\n\r\n"
     )
     return head.encode("ascii") + body

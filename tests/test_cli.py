@@ -1,9 +1,15 @@
 from __future__ import annotations
 
 import base64
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fovlink.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from fovlink.dataset import load_manifest
@@ -371,3 +377,66 @@ class TestReportCommand:
     def test_bad_target_is_data_error(self, workspace):
         tmp_path, _, _ = workspace
         assert run_cli("report", "--in", tmp_path, "--targets", "pdf") == EXIT_DATA
+
+
+@pytest.fixture(scope="module")
+def fixture_workspace(tmp_path_factory):
+    """A manifest and a valid two-run exp1 fixture for it, one entry a scripted fault."""
+    root = tmp_path_factory.mktemp("fixture_property")
+    records = [scene_line("pos_a", positive=True), scene_line("neg_a", positive=False)]
+    manifest = write_manifest(root, records)
+    script = binary_script(load_manifest(manifest), runs=2)
+    script[script_key("neg_a", "BIN", 1)] = {"fault": "timeout"}
+    fixture = write_fixture(root, script)
+    assert run_cli(
+        "exp1", "--manifest", manifest, "--fixture", fixture, "--runs", 2, "--out", root / "out"
+    ) == EXIT_OK
+    return manifest, script
+
+
+# one value of each JSON type; a swap picks a value whose type differs
+_JSON_VALUES = {"str": "x", "int": 7, "float": 0.5, "bool": True, "null": None, "list": ["x"], "object": {"k": 1}}
+
+
+def _json_type(value) -> str:
+    return next(kind for kind, sample in _JSON_VALUES.items() if type(value) is type(sample))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_exp1_over_a_corrupted_fixture_exits_2(fixture_workspace, data):
+    manifest, script = fixture_workspace
+    script = {key: dict(entry) for key, entry in script.items()}
+    # every field: the whole object, each entry, each entry's text or fault
+    paths = [()] + [(key,) for key in script] + [(key, name) for key in script for name in script[key]]
+    path = data.draw(st.sampled_from(paths))
+    mutation = data.draw(st.sampled_from(("swap", "delete", "truncate") if path else ("swap", "truncate")))
+    text = json.dumps(script, indent=1)
+    if mutation == "truncate":
+        text = text[: data.draw(st.integers(0, len(text) - 1))]
+    else:
+        parent = script
+        for key in path[:-1]:
+            parent = parent[key]
+        current = parent[path[-1]] if path else script
+        if mutation == "swap":
+            kind = data.draw(st.sampled_from(sorted(set(_JSON_VALUES) - {_json_type(current)})))
+            value = _JSON_VALUES[kind]
+            if path:
+                parent[path[-1]] = value
+            else:
+                script = value
+        else:
+            del parent[path[-1]]
+        text = json.dumps(script, indent=1)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        fixture = Path(tmp) / "fixture.json"
+        fixture.write_text(text, encoding="utf-8")
+        code = run_cli(
+            "exp1", "--manifest", manifest, "--fixture", fixture, "--runs", 2,
+            "--out", Path(tmp) / "out",
+        )
+    assert code == EXIT_DATA
+    assert err.getvalue().startswith("fovlink: fixture error: ")
+    assert "Traceback" not in err.getvalue()

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import threading
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -456,3 +458,75 @@ class TestPromptComparisonDispatch:
         with pytest.raises(ExperimentPrecondition, match="BIN is not a coordinate prompt"):
             run_prompt_comparison(scenes, ("P1", "BIN"), gateway, CONFIG_3RUNS)
         assert not frame_reads
+
+
+class ThreadRecordingBackend(MockBackend):
+    """Replays a mock script and records the thread of every call.
+
+    With ``simulated=False`` it stands for a backend that waits on the
+    network. With ``meet`` set, its first two calls wait for each other, so
+    they can only finish on two threads at once.
+    """
+
+    def __init__(self, script, *, simulated=True, meet=False) -> None:
+        super().__init__(script)
+        self.simulated = simulated
+        self.threads: list[int] = []
+        self._lock = threading.Lock()
+        self._meeting = threading.Barrier(2, timeout=10) if meet else None
+
+    def complete(self, image, prompt, params, key):
+        with self._lock:
+            self.threads.append(threading.get_ident())
+            first_two = len(self.threads) <= 2
+        if self._meeting is not None and first_two:
+            self._meeting.wait()
+        return super().complete(image, prompt, params, key)
+
+
+def without_latency(comparison: PromptComparison) -> PromptComparison:
+    """``comparison`` with every latency zeroed: a backend that is not simulated times its replies."""
+    runs = {
+        pid: replace(run, results=tuple(replace(r, latency=0.0) for r in run.results))
+        for pid, run in comparison.runs.items()
+    }
+    return replace(comparison, runs=runs)
+
+
+class TestThreadPool:
+    """Only a backend that waits on the network gets worker threads."""
+
+    def config(self, parallelism):
+        return ExperimentConfig(
+            runs_per_prompt=3, parallelism=parallelism, params=QueryParams(backoff_base=0.0)
+        )
+
+    def test_network_backend_gives_equal_results_at_any_parallelism(self, small_manifest):
+        scenes = load_manifest(small_manifest)
+        script = comparison_script(scenes)
+        script[script_key("pos_b", "P2", 1)] = {"fault": "timeout"}
+        outcomes = []
+        for parallelism, meet in ((1, False), (8, True)):
+            backend = ThreadRecordingBackend(script, simulated=False, meet=meet)
+            comparison = run_prompt_comparison(
+                scenes, ("P1", "P2", "P3"), Gateway(backend), self.config(parallelism)
+            )
+            outcomes.append(without_latency(comparison))
+        assert outcomes[0] == outcomes[1]
+        assert any(r.fault is not None for r in outcomes[0].results)
+
+    def test_network_backend_runs_on_worker_threads(self, small_manifest):
+        scenes = load_manifest(small_manifest)
+        backend = ThreadRecordingBackend(comparison_script(scenes), simulated=False, meet=True)
+        run_prompt_comparison(scenes, ("P1", "P2", "P3"), Gateway(backend), self.config(8))
+        assert len(set(backend.threads)) > 1
+        assert threading.get_ident() not in backend.threads
+
+    def test_mock_backend_answers_on_the_calling_thread(self, small_manifest):
+        scenes = load_manifest(small_manifest)
+        backend = ThreadRecordingBackend(comparison_script(scenes))
+        comparison = run_prompt_comparison(
+            scenes, ("P1", "P2", "P3"), Gateway(backend), self.config(8)
+        )
+        assert set(backend.threads) == {threading.get_ident()}
+        assert len(backend.threads) == len(comparison.results) == 3 * 3 * len(scenes.positives)

@@ -261,6 +261,32 @@ class TestDroppedConnections:
             assert detail in attempt
 
 
+class TestHTTPStatusRetries:
+    """408, 429 and 5xx are retried; any other 4xx would be refused again, so it is not."""
+
+    @pytest.mark.parametrize("status", [400, 401, 404])
+    def test_client_error_makes_one_attempt(self, status):
+        with LoopbackServer(lambda body: http_reply(b'{"error": "no"}', status=status)) as server:
+            backend = LiveBackend(base_url=server.url)
+            with pytest.raises(TransportError, match="not retried") as raised:
+                Gateway(backend).send_vision_query(b"img", "prompt", PARAMS)
+        assert server.connections == 1
+        assert len(raised.value.attempts) == 1
+        assert f"HTTP {status}" in raised.value.attempts[0]
+
+    @pytest.mark.parametrize("status", [408, 500, 503])
+    def test_server_error_is_retried(self, status):
+        with LoopbackServer(lambda body: http_reply(b'{"error": "busy"}', status=status)) as server:
+            backend = LiveBackend(base_url=server.url)
+            with pytest.raises(TransportError) as raised:
+                Gateway(backend).send_vision_query(b"img", "prompt", PARAMS)
+        assert server.connections == PARAMS.max_retries + 1
+        attempts = raised.value.attempts
+        assert len(attempts) == PARAMS.max_retries + 1
+        assert all("transport after" in a and f"HTTP {status}" in a for a in attempts)
+        assert "not retried" not in str(raised.value)
+
+
 class TestQueryParams:
     def test_determinism_leaning_defaults(self):
         params = QueryParams()

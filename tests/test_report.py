@@ -374,6 +374,30 @@ class TestMalformedRecords:
         assert main(["report", "--in", str(out)]) == EXIT_DATA
         assert "malformed result record: fields do not match kind" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name,outcome,field,value",
+        [
+            ("binary_results.jsonl", "verdict", "box", [0.1, 0.1, 0.2, 0.2]),
+            ("localization_results.jsonl", "located", "verdict", True),
+            ("comparison_results.jsonl", "failure", "box", [0.1, 0.1, 0.2, 0.2]),
+            ("binary_results.jsonl", "fault", "verdict", False),
+        ],
+    )
+    def test_disagreeing_fields_name_file_line_and_outcome(
+        self, record_dirs, tmp_path, capsys, name, outcome, field, value
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(record_dirs[name], out)
+        records = [json.loads(line) for line in (out / name).read_text(encoding="utf-8").splitlines()]
+        index = next(i for i, r in enumerate(records) if r["outcome"] == outcome)
+        records[index][field] = value
+        (out / name).write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        assert main(["report", "--in", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{name} line {index + 1}: " in err
+        assert f"kind {outcome}: it has a {field}" in err
+        assert "DetectionKind." not in err
+
 
 @pytest.fixture
 def v2v_dir(small_manifest, tmp_path):

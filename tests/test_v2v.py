@@ -111,6 +111,67 @@ class TestCodec:
         assert len(encode_message(msg)) == 171
 
     @pytest.mark.parametrize(
+        "msg, expected",
+        [
+            pytest.param(
+                V2VMessage(
+                    msg_type=MsgType.RESPONSE,
+                    sender_id="vehicle_a",
+                    recipient_id="ego",
+                    correlation_id="q0001",
+                    timestamp=1987,
+                    payload=ResponsePayload(
+                        presence=True, box=canonicalize_bbox((0.5, 1.5), (-0.1, 0.25))
+                    ),
+                ),
+                '{"version":"1","msg_type":"response","sender_id":"vehicle_a",'
+                '"recipient_id":"ego","correlation_id":"q0001","timestamp":1987,'
+                '"payload":{"presence":true,"box":{"x":0.0,"y":0.25,"x2":0.5,"y2":1.0,'
+                '"clamped":true},"description":null,"failure_kind":null}}',
+                id="response-clamped-box",
+            ),
+            pytest.param(
+                V2VMessage(
+                    msg_type=MsgType.RESPONSE,
+                    sender_id="vehicle_b",
+                    recipient_id="ego",
+                    correlation_id="q0002",
+                    timestamp=2041,
+                    payload=ResponsePayload(
+                        presence=True,
+                        description='A person by the café, "left"',
+                        failure_kind=FailureKind.AMBIGUOUS_DESCRIPTION,
+                    ),
+                ),
+                '{"version":"1","msg_type":"response","sender_id":"vehicle_b",'
+                '"recipient_id":"ego","correlation_id":"q0002","timestamp":2041,'
+                '"payload":{"presence":true,"box":null,'
+                '"description":"A person by the café, \\"left\\"",'
+                '"failure_kind":"AmbiguousDescription"}}',
+                id="response-failure-kind",
+            ),
+            pytest.param(
+                V2VMessage(
+                    msg_type=MsgType.ERROR,
+                    sender_id="vehicle_c",
+                    recipient_id="ego",
+                    correlation_id="q0003",
+                    timestamp=3000,
+                    payload=ErrorPayload(fault="Timeout: timeout after 3 attempts: timed out"),
+                ),
+                '{"version":"1","msg_type":"error","sender_id":"vehicle_c",'
+                '"recipient_id":"ego","correlation_id":"q0003","timestamp":3000,'
+                '"payload":{"fault":"Timeout: timeout after 3 attempts: timed out"}}',
+                id="error",
+            ),
+        ],
+    )
+    def test_response_and_error_encodings_are_golden(self, msg, expected):
+        # bytes pinned from the dataclasses.asdict encoder that preceded the field walk
+        assert encode_message(msg) == expected.encode("utf-8")
+        assert decode_message(encode_message(msg)) == msg
+
+    @pytest.mark.parametrize(
         "mutate",
         [
             lambda r: r.pop("sender_id"),
