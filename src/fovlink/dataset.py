@@ -157,7 +157,7 @@ def load_manifest(path: str | Path) -> SceneSet:
     seen: set[str] = set()
 
     text = path.read_text(encoding="utf-8")
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:

@@ -500,7 +500,7 @@ def emit_report(bundle: ReportBundle, targets, out_dir: str | Path) -> list[Path
 def _read_lines(path: Path, decode: Callable[[str], object]) -> list:
     """``decode`` of each non-blank line of ``path``; a decode error names the file and line."""
     decoded = []
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
         if line.strip():
             try:
                 decoded.append(decode(line))

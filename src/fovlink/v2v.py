@@ -7,19 +7,19 @@ small structured message (presence, optional box, optional description).
 The transcript accounts bytes per message and compares the dialogue cost
 against streaming the raw frames over the same link.
 
-Message schema v1: canonical single-line JSON, UTF-8, fixed key order
-(version, msg_type, sender_id, recipient_id, correlation_id, timestamp,
-payload). Canonical encoding keeps byte sizes reproducible, so the
-bandwidth comparison is auditable byte-for-byte. Timestamps are integer
-milliseconds; run_dialogue assigns them from a simulated clock driven by
-analytic transmission delays, never wall-clock.
+Message schema v1: canonical single-line JSON, UTF-8, keys in the order
+of one declaration (``_ENVELOPE`` and ``_PAYLOADS``). Canonical encoding
+keeps byte sizes reproducible, so the bandwidth comparison is auditable
+byte-for-byte. Timestamps are integer milliseconds; run_dialogue assigns
+them from a simulated clock driven by analytic transmission delays, never
+wall-clock.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
@@ -130,35 +130,6 @@ def transmission_time(payload_bytes: float, link: LinkModel) -> float:
     return payload_bytes * 8 / (link.rate * (1.0 - link.overhead))
 
 
-# payload and box types -> their field names in declaration order, the key
-# order on the wire
-_WIRE_FIELDS = {
-    cls: tuple(f.name for f in fields(cls))
-    for cls in (QueryPayload, ResponsePayload, ErrorPayload, NormalizedBBox)
-}
-
-
-def _fields_of(obj) -> dict:
-    return {name: getattr(obj, name) for name in _WIRE_FIELDS[type(obj)]}
-
-
-def encode_message(msg: V2VMessage) -> bytes:
-    """Canonical UTF-8 encoding: compact JSON with fixed key order."""
-    payload = _fields_of(msg.payload)
-    if payload.get("box") is not None:
-        payload["box"] = _fields_of(payload["box"])
-    record = {
-        "version": msg.version,
-        "msg_type": msg.msg_type.value,
-        "sender_id": msg.sender_id,
-        "recipient_id": msg.recipient_id,
-        "correlation_id": msg.correlation_id,
-        "timestamp": msg.timestamp,
-        "payload": payload,
-    }
-    return json.dumps(record, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
-
-
 _ENVELOPE = {
     "version": (str,),
     "msg_type": frozenset(t.value for t in MsgType),
@@ -168,27 +139,47 @@ _ENVELOPE = {
     "timestamp": NON_NEGATIVE_INT,
 }
 _BOX_SHAPE = Fields({"x": NUMBER, "y": NUMBER, "x2": NUMBER, "y2": NUMBER, "clamped": (bool,)})
-# msg_type -> the shape of its message; payload keys are the payload
-# dataclass fields, which encode_message writes in declaration order
-_MESSAGE_SHAPES = {
-    MsgType.QUERY.value: Fields(
-        {**_ENVELOPE, "payload": Fields({"prompt_id": (str,), "prompt_text": (str,)})}
+# msg_type -> (payload class, payload shape): with _ENVELOPE, the one
+# declaration of the message format. The encoder writes the envelope keys,
+# then "payload" with the shape's keys, in this order; each shape names
+# exactly its class's fields, in the class's order.
+_PAYLOADS = {
+    MsgType.QUERY: (QueryPayload, Fields({"prompt_id": (str,), "prompt_text": (str,)})),
+    MsgType.RESPONSE: (
+        ResponsePayload,
+        Fields(
+            {
+                "presence": (bool,),
+                "box": Nullable(_BOX_SHAPE),
+                "description": (str, NULL),
+                "failure_kind": Nullable(frozenset(kind.value for kind in FailureKind)),
+            }
+        ),
     ),
-    MsgType.RESPONSE.value: Fields(
-        {
-            **_ENVELOPE,
-            "payload": Fields(
-                {
-                    "presence": (bool,),
-                    "box": Nullable(_BOX_SHAPE),
-                    "description": (str, NULL),
-                    "failure_kind": Nullable(frozenset(kind.value for kind in FailureKind)),
-                }
-            ),
-        }
-    ),
-    MsgType.ERROR.value: Fields({**_ENVELOPE, "payload": Fields({"fault": (str,)})}),
+    MsgType.ERROR: (ErrorPayload, Fields({"fault": (str,)})),
 }
+_MESSAGE_SHAPES = {
+    msg_type.value: Fields({**_ENVELOPE, "payload": shape}) for msg_type, (_, shape) in _PAYLOADS.items()
+}
+
+
+def encode_message(msg: V2VMessage) -> bytes:
+    """Canonical UTF-8 encoding: compact JSON with fixed key order.
+
+    Raises ``MalformedMessage`` when the payload is not the class its
+    ``msg_type`` declares, since no reader could decode those bytes.
+    """
+    cls, shape = _PAYLOADS[msg.msg_type]
+    if type(msg.payload) is not cls:
+        raise MalformedMessage(
+            "payload", f"must be a {cls.__name__} in a {msg.msg_type.value}, not a {type(msg.payload).__name__}"
+        )
+    record = {name: getattr(msg, name) for name in _ENVELOPE}
+    record["payload"] = payload = {name: getattr(msg.payload, name) for name in shape.fields}
+    box = payload.get("box")
+    if box is not None:
+        payload["box"] = {name: getattr(box, name) for name in _BOX_SHAPE.fields}
+    return json.dumps(record, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
 
 
 def decode_message(data: bytes) -> V2VMessage:
@@ -206,32 +197,17 @@ def decode_message(data: bytes) -> V2VMessage:
     found = problems(record, shape)
     if found:
         raise MalformedMessage(*found[0])
-    msg_type, payload = MsgType(msg_type), record["payload"]
-    if msg_type is MsgType.QUERY:
-        payload = QueryPayload(**payload)
-    elif msg_type is MsgType.ERROR:
-        payload = ErrorPayload(**payload)
-    else:
-        box, failure_kind = payload["box"], payload["failure_kind"]
+    record["msg_type"] = msg_type = MsgType(msg_type)
+    payload = record["payload"]
+    if payload.get("box") is not None:
         try:
-            box = None if box is None else NormalizedBBox(**box)
+            payload["box"] = NormalizedBBox(**payload["box"])
         except (ValueError, NonFiniteInput) as e:
             raise MalformedMessage("payload.box", str(e)) from e
-        payload = ResponsePayload(
-            presence=payload["presence"],
-            box=box,
-            description=payload["description"],
-            failure_kind=None if failure_kind is None else FailureKind(failure_kind),
-        )
-    return V2VMessage(
-        msg_type=msg_type,
-        sender_id=record["sender_id"],
-        recipient_id=record["recipient_id"],
-        correlation_id=record["correlation_id"],
-        timestamp=record["timestamp"],
-        payload=payload,
-        version=version,
-    )
+    if payload.get("failure_kind") is not None:
+        payload["failure_kind"] = FailureKind(payload["failure_kind"])
+    record["payload"] = _PAYLOADS[msg_type][0](**payload)
+    return V2VMessage(**record)
 
 
 @dataclass(frozen=True)
@@ -326,12 +302,13 @@ def run_dialogue(
     stream_bytes = 0
     clock = 0.0  # simulated seconds since dialogue start
 
-    def push(msg: V2VMessage) -> None:
+    def push(msg_type: MsgType, sender: str, recipient: str, correlation_id: str, payload) -> None:
         nonlocal clock
-        encoded = encode_message(msg)
+        msg = V2VMessage(msg_type, sender, recipient, correlation_id, int(clock * 1000), payload)
+        size = len(encode_message(msg))
         messages.append(msg)
-        sizes.append(len(encoded))
-        clock += transmission_time(len(encoded), link)
+        sizes.append(size)
+        clock += transmission_time(size, link)
 
     for index, remote in enumerate(sorted(remotes, key=lambda r: r.vehicle_id)):
         if remote.role is not Role.REMOTE:
@@ -342,16 +319,8 @@ def run_dialogue(
                 f"remote {remote.vehicle_id!r} frame {remote.current_frame!r} not in scene set"
             )
         correlation_id = f"q{index:04d}"
-        push(
-            V2VMessage(
-                msg_type=MsgType.QUERY,
-                sender_id=ego.vehicle_id,
-                recipient_id=remote.vehicle_id,
-                correlation_id=correlation_id,
-                timestamp=int(clock * 1000),
-                payload=QueryPayload(prompt_id=prompt.prompt_id, prompt_text=prompt.text),
-            )
-        )
+        query = QueryPayload(prompt_id=prompt.prompt_id, prompt_text=prompt.text)
+        push(MsgType.QUERY, ego.vehicle_id, remote.vehicle_id, correlation_id, query)
 
         image = scene.image_path.read_bytes()
         stream_bytes += len(image)
@@ -361,16 +330,7 @@ def run_dialogue(
             msg_type, payload = MsgType.RESPONSE, _response_payload(result.detection)
         else:
             msg_type, payload = MsgType.ERROR, ErrorPayload(fault=result.fault)
-        push(
-            V2VMessage(
-                msg_type=msg_type,
-                sender_id=remote.vehicle_id,
-                recipient_id=ego.vehicle_id,
-                correlation_id=correlation_id,
-                timestamp=int(clock * 1000),
-                payload=payload,
-            )
-        )
+        push(msg_type, remote.vehicle_id, ego.vehicle_id, correlation_id, payload)
 
     return DialogueTranscript(
         messages=tuple(messages), sizes=tuple(sizes), link=link, stream_bytes=stream_bytes

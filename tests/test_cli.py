@@ -4,6 +4,9 @@ import base64
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fovlink
 from fovlink.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from fovlink.dataset import load_manifest
 
@@ -377,6 +381,22 @@ class TestReportCommand:
     def test_bad_target_is_data_error(self, workspace):
         tmp_path, _, _ = workspace
         assert run_cli("report", "--in", tmp_path, "--targets", "pdf") == EXIT_DATA
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["--help"], EXIT_OK), (["report", "--in", "no_such_dir"], EXIT_DATA)],
+    ids=["help", "report"],
+)
+def test_python_dash_m_fovlink_runs_the_cli(tmp_path, argv, code):
+    src = str(Path(fovlink.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "fovlink", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stderr
 
 
 @pytest.fixture(scope="module")

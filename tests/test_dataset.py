@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 
 import pytest
 from hypothesis import given
@@ -30,6 +31,15 @@ def test_empty_manifest(tmp_path):
     path.write_text("", encoding="utf-8")
     scenes = load_manifest(path)
     assert (len(scenes.positives), len(scenes.negatives)) == (0, 0)
+
+
+def test_raw_unicode_line_separator_in_a_tag_loads(tmp_path):
+    # json.dumps(ensure_ascii=False) writes U+2028 raw; lines end at "\n" only
+    record = scene_line("pos_a", positive=True, tags=["dusk\u2028shade"])
+    path = tmp_path / "manifest.jsonl"
+    path.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+    scenes = load_manifest(path)
+    assert scenes.positives[0].tags == frozenset({"dusk\u2028shade"})
 
 
 def test_missing_file(tmp_path):

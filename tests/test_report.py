@@ -270,6 +270,52 @@ class TestRerender:
             rerender(tmp_path / "ghost", ["csv"])
 
 
+# characters that str.splitlines() treats as line breaks but that JSON
+# strings written with ensure_ascii=False carry raw
+_UNICODE_BREAKS = ("\u2028", "\u2029", "\u0085")
+
+
+@pytest.mark.parametrize("char", _UNICODE_BREAKS, ids=["u2028", "u2029", "u0085"])
+@pytest.mark.parametrize(
+    "command, prompt_id, records",
+    [("exp1", "BIN", "binary_results.jsonl"), ("exp2", "P1", "localization_results.jsonl")],
+)
+def test_reply_with_a_unicode_line_break_rerenders_byte_identically(
+    small_manifest, tmp_path, command, prompt_id, records, char
+):
+    scenes = load_manifest(small_manifest)
+    if command == "exp1":
+        script = binary_script(scenes, prompt_id, runs=2)
+    else:
+        script = localization_script(scenes, GT_TEMPLATE, prompt_id, runs=2)
+    for entry in script.values():
+        entry["text"] += f"{char}indeed"
+    fixture = write_fixture(tmp_path, script)
+    out = tmp_path / "out"
+    argv = [command, "--manifest", small_manifest, "--prompt", prompt_id, "--fixture", fixture]
+    assert main([str(a) for a in argv] + ["--runs", "2", "--out", str(out)]) == EXIT_OK
+    assert char in (out / records).read_text(encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main(["report", "--in", str(out), "--targets", "csv,records,svg"]) == EXIT_OK
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_v2v_description_with_a_unicode_line_break_rerenders_byte_identically(small_manifest, tmp_path):
+    scenes = load_manifest(small_manifest)
+    remotes = [VehicleAgent("vehicle_a", Role.REMOTE, current_frame="pos_a")]
+    script = {script_key("pos_a", "P1", 0): {"text": "A person stands\u2028near the parked car."}}
+    transcript = run_dialogue(
+        VehicleAgent("ego", Role.EGO), remotes, scenes, "P1", Gateway(MockBackend(script)),
+        LinkModel(rate=1_000_000, overhead=0.1), QueryParams(backoff_base=0.0),
+    )
+    assert "\u2028" in transcript.messages[1].payload.description
+    out = tmp_path / "out"
+    emit_report(ReportBundle(transcript=transcript), ["csv", "records"], out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    rerender(out, ["csv", "records"])
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 # one positive per reply kind, so the records hold every outcome
 _MIXED_REPLIES = (
     GT_TEMPLATE,

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,7 @@ from fovlink.v2v import (
     run_dialogue,
     transmission_time,
 )
+from fovlink.v2v import _BOX_SHAPE, _PAYLOADS
 
 from conftest import script_key
 
@@ -205,6 +208,44 @@ class TestCodec:
         with pytest.raises(MalformedMessage) as exc:
             decode_message(json.dumps(raw).encode())
         assert exc.value.field == "payload.box"
+
+    @pytest.mark.parametrize(
+        "msg_type, payload",
+        [
+            (MsgType.QUERY, ErrorPayload(fault="x")),
+            (MsgType.RESPONSE, QueryPayload(prompt_id="P1", prompt_text="where?")),
+            (MsgType.ERROR, ResponsePayload(presence=True)),
+        ],
+    )
+    def test_payload_of_another_type_is_refused(self, msg_type, payload):
+        # such bytes would name one msg_type and carry another type's keys,
+        # which no reader accepts
+        msg = V2VMessage(msg_type, "ego", "vehicle_a", "q0000", 0, payload)
+        with pytest.raises(MalformedMessage) as exc:
+            encode_message(msg)
+        assert exc.value.field == "payload"
+        assert type(payload).__name__ in str(exc.value)
+
+
+_SCHEMAS_MD = Path(__file__).resolve().parents[1] / "docs" / "schemas.md"
+
+
+class TestDeclaration:
+    """The one declaration of the message format agrees with the classes and the docs."""
+
+    @pytest.mark.parametrize("msg_type", list(MsgType))
+    def test_payload_keys_are_the_class_fields_in_order(self, msg_type):
+        # a field missing from the declaration would never reach the wire
+        cls, shape = _PAYLOADS[msg_type]
+        assert [f.name for f in fields(cls)] == list(shape.fields)
+
+    def test_box_keys_are_the_box_fields_in_order(self):
+        assert [f.name for f in fields(NormalizedBBox)] == list(_BOX_SHAPE.fields)
+
+    def test_every_declared_key_is_documented(self):
+        section = _SCHEMAS_MD.read_text(encoding="utf-8").split("## V2V message schema", 1)[1]
+        keys = [k for _, shape in _PAYLOADS.values() for k in shape.fields] + list(_BOX_SHAPE.fields)
+        assert [k for k in keys if f"`{k}`" not in section] == []
 
 
 identifiers = st.text(min_size=1, max_size=12)
