@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .dataset import SceneSet, load_manifest
+from .dataset import load_manifest
 from .errors import FovlinkError
 from .experiments import (
     AllScenesFailed,
@@ -66,9 +66,6 @@ def _bounded(convert, rule: str, ok):
 
 
 _AT_LEAST_ONE = _bounded(int, ">= 1", lambda v: v >= 1)
-_NON_NEGATIVE_INT = _bounded(int, ">= 0", lambda v: v >= 0)
-_NON_NEGATIVE_FLOAT = _bounded(float, ">= 0", lambda v: v >= 0)
-_POSITIVE_FLOAT = _bounded(float, "> 0", lambda v: v > 0)
 _PROMPT_IDS = _bounded(
     lambda text: tuple(p.strip() for p in text.split(",") if p.strip()),
     "comma-separated prompt ids, each named once",
@@ -84,6 +81,43 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _binary_summary(prompt: str, outcome) -> str:
+    m, recall = outcome.matrix, outcome.stats.recall
+    recall_txt = "n/a" if recall is None else f"{recall * 100:.2f}%"
+    return f"exp1 {prompt}: matrix (tp={m.tp}, fn={m.fn_}, fp={m.fp}, tn={m.tn}), recall {recall_txt}"
+
+
+def _localization_summary(prompt: str, outcome) -> str:
+    s = outcome.summary
+    return (
+        f"exp2 {prompt}: union rate {s.union_rate * 100:.2f}% over {s.n_tests} tests, "
+        f"recall_all {s.recall_mean_all * 100:.2f}%"
+    )
+
+
+def _comparison_summary(prompts, outcome) -> str:
+    return "\n".join(f"exp3 {pid}: union rate {s.union_rate * 100:.2f}%" for pid, s in outcome.summary_table())
+
+
+# subcommand -> (help, prompt flag, its add_argument keywords, runner,
+# ReportBundle part, stdout summary); the flag is stored as args.prompt
+_EXPERIMENTS = {
+    "exp1": (
+        "binary pedestrian detection", "--prompt", {"default": "BIN", "help": "BIN or BIN_REFINED"},
+        run_binary_experiment, "binary", _binary_summary,
+    ),
+    "exp2": (
+        "bounding-box localization", "--prompt", {"default": "P1"},
+        run_localization_experiment, "localization", _localization_summary,
+    ),
+    "exp3": (
+        "prompt comparison", "--prompts",
+        {"type": _PROMPT_IDS, "default": "P1,P2,P3", "help": "comma-separated prompt ids", "metavar": "PROMPTS"},
+        run_prompt_comparison, "comparison", _comparison_summary,
+    ),
+}
+
+
 def _build_parser() -> _Parser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--backend", choices=("live", "mock"), default="mock")
@@ -91,37 +125,23 @@ def _build_parser() -> _Parser:
     shared.add_argument("--model", default="gpt-4o", help="model name for live mode")
     shared.add_argument("--parallelism", type=_AT_LEAST_ONE, default=1)
     shared.add_argument("--max-tokens", type=_AT_LEAST_ONE, default=300)
-    shared.add_argument("--temperature", type=_NON_NEGATIVE_FLOAT, default=0.0)
-    shared.add_argument("--timeout", type=_POSITIVE_FLOAT, default=60.0)
-    shared.add_argument("--retries", type=_NON_NEGATIVE_INT, default=2)
+    shared.add_argument("--temperature", type=_bounded(float, ">= 0", lambda v: v >= 0), default=0.0)
+    shared.add_argument("--timeout", type=_bounded(float, "> 0", lambda v: v > 0), default=60.0)
+    shared.add_argument("--retries", type=_bounded(int, ">= 0", lambda v: v >= 0), default=2)
+    shared.add_argument("--manifest", type=Path, required=True)
+    shared.add_argument("--out", type=Path, required=True)
 
     parser = _Parser(prog="fovlink", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, (help_text, flag, prompt_kwargs, *_) in _EXPERIMENTS.items():
+        experiment = sub.add_parser(name, parents=[shared], help=help_text)
+        experiment.add_argument(flag, dest="prompt", **prompt_kwargs)
+        experiment.add_argument("--runs", type=_AT_LEAST_ONE, default=3)
 
-    exp1 = sub.add_parser("exp1", parents=[shared], help="binary pedestrian detection")
-    exp1.add_argument("--manifest", type=Path, required=True)
-    exp1.add_argument("--prompt", default="BIN", help="BIN or BIN_REFINED")
-    exp1.add_argument("--runs", type=_AT_LEAST_ONE, default=3)
-    exp1.add_argument("--out", type=Path, required=True)
-
-    exp2 = sub.add_parser("exp2", parents=[shared], help="bounding-box localization")
-    exp2.add_argument("--manifest", type=Path, required=True)
-    exp2.add_argument("--prompt", default="P1")
-    exp2.add_argument("--runs", type=_AT_LEAST_ONE, default=3)
-    exp2.add_argument("--out", type=Path, required=True)
-
-    exp3 = sub.add_parser("exp3", parents=[shared], help="prompt comparison")
-    exp3.add_argument("--manifest", type=Path, required=True)
-    exp3.add_argument(
-        "--prompts", type=_PROMPT_IDS, default="P1,P2,P3", help="comma-separated prompt ids"
-    )
-    exp3.add_argument("--runs", type=_AT_LEAST_ONE, default=3)
-    exp3.add_argument("--out", type=Path, required=True)
-
-    v2v = sub.add_parser("v2v", parents=[shared], help="vehicle dialogue simulation")
-    v2v.add_argument("--scenario", type=Path, required=True)
-    v2v.add_argument("--manifest", type=Path, required=True)
-    v2v.add_argument("--out", type=Path, required=True)
+    # --scenario first, so a usage error lists the missing flags in the same order as before
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("--scenario", type=Path, required=True)
+    sub.add_parser("v2v", parents=[scenario, shared], help="vehicle dialogue simulation")
 
     report = sub.add_parser("report", help="re-render reports from result files")
     report.add_argument("--in", dest="in_dir", type=Path, required=True)
@@ -149,73 +169,34 @@ def _query_params(args) -> QueryParams:
     )
 
 
-def _experiment_inputs(args) -> tuple[SceneSet, Gateway, ExperimentConfig]:
-    """Scenes, gateway and config that exp1, exp2 and exp3 start from."""
+def _cmd_experiment(args) -> list[Path]:
+    *_, run, part, summary = _EXPERIMENTS[args.command]
     scenes = load_manifest(args.manifest)
-    gateway = _make_gateway(args)
-    config = ExperimentConfig(
-        runs_per_prompt=args.runs, parallelism=args.parallelism, params=_query_params(args)
-    )
-    return scenes, gateway, config
-
-
-def _emit_experiment(out: Path, scenes: SceneSet, results, **parts) -> list[Path]:
-    """Write an experiment's report with the scene maps and run consistency."""
+    config = ExperimentConfig(runs_per_prompt=args.runs, parallelism=args.parallelism, params=_query_params(args))
+    outcome = run(scenes, args.prompt, _make_gateway(args), config)
+    lowlight = lowlight_by_scene(scenes)
     bundle = ReportBundle(
-        consistency=consistency_or_none(results),
-        labels={r.scene_id: r.has_pedestrian for r in scenes},
-        lowlight=lowlight_by_scene(scenes),
-        **parts,
+        consistency=consistency_or_none(outcome.results),
+        labels=dict(scenes.labels()),
+        lowlight=lowlight,
+        # only a localization part renders failures.csv, the one reader of the share
+        lowlight_share=failure_lowlight_share(outcome.results, lowlight),
+        **{part: outcome},
     )
-    return emit_report(bundle, RENDER_TARGETS, out)
-
-
-def _cmd_exp1(args) -> list[Path]:
-    scenes, gateway, config = _experiment_inputs(args)
-    outcome = run_binary_experiment(scenes, args.prompt, gateway, config)
-    files = _emit_experiment(args.out, scenes, outcome.results, binary=outcome)
-    m = outcome.matrix
-    recall = outcome.stats.recall
-    recall_txt = "n/a" if recall is None else f"{recall * 100:.2f}%"
-    print(f"exp1 {args.prompt}: matrix (tp={m.tp}, fn={m.fn_}, fp={m.fp}, tn={m.tn}), recall {recall_txt}")
-    return files
-
-
-def _cmd_exp2(args) -> list[Path]:
-    scenes, gateway, config = _experiment_inputs(args)
-    outcome = run_localization_experiment(scenes, args.prompt, gateway, config)
-    share = failure_lowlight_share(outcome.results, lowlight_by_scene(scenes))
-    files = _emit_experiment(
-        args.out, scenes, outcome.results, localization=outcome, lowlight_share=share
-    )
-    s = outcome.summary
-    print(
-        f"exp2 {args.prompt}: union rate {s.union_rate * 100:.2f}% over {s.n_tests} tests, "
-        f"recall_all {s.recall_mean_all * 100:.2f}%"
-    )
-    return files
-
-
-def _cmd_exp3(args) -> list[Path]:
-    scenes, gateway, config = _experiment_inputs(args)
-    comparison = run_prompt_comparison(scenes, args.prompts, gateway, config)
-    files = _emit_experiment(args.out, scenes, comparison.results, comparison=comparison)
-    for pid, summary in comparison.summary_table():
-        print(f"exp3 {pid}: union rate {summary.union_rate * 100:.2f}%")
+    files = emit_report(bundle, RENDER_TARGETS, args.out)
+    print(summary(args.prompt, outcome))
     return files
 
 
 def _cmd_v2v(args) -> list[Path]:
     ego, remotes, link, prompt_id = load_scenario(args.scenario)
-    scenes = load_manifest(args.manifest)
-    gateway = _make_gateway(args)
-    transcript = run_dialogue(ego, remotes, scenes, prompt_id, gateway, link, _query_params(args))
-    files = emit_report(ReportBundle(transcript=transcript), RENDER_TARGETS, args.out)
-    c = transcript.comparison()
-    ratio_txt = "n/a" if c.ratio is None else f"{c.ratio:.6f}"
+    scenes, gateway = load_manifest(args.manifest), _make_gateway(args)
+    t = run_dialogue(ego, remotes, scenes, prompt_id, gateway, link, _query_params(args))
+    files = emit_report(ReportBundle(transcript=t), RENDER_TARGETS, args.out)
+    ratio_txt = "n/a" if t.ratio is None else f"{t.ratio:.6f}"
     print(
-        f"v2v: {len(transcript.messages)} messages, dialogue {c.dialogue_bytes} B "
-        f"({c.dialogue_time:.6f} s) vs stream {c.stream_bytes} B ({c.stream_time:.6f} s), "
+        f"v2v: {len(t.messages)} messages, dialogue {t.dialogue_bytes} B "
+        f"({t.dialogue_time:.6f} s) vs stream {t.stream_bytes} B ({t.stream_time:.6f} s), "
         f"ratio {ratio_txt}"
     )
     return files
@@ -226,13 +207,7 @@ def _cmd_report(args) -> list[Path]:
     return rerender(args.in_dir, targets)
 
 
-_COMMANDS = {
-    "exp1": _cmd_exp1,
-    "exp2": _cmd_exp2,
-    "exp3": _cmd_exp3,
-    "v2v": _cmd_v2v,
-    "report": _cmd_report,
-}
+_COMMANDS = {**dict.fromkeys(_EXPERIMENTS, _cmd_experiment), "v2v": _cmd_v2v, "report": _cmd_report}
 
 
 def main(argv: list[str] | None = None) -> int:

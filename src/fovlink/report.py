@@ -44,24 +44,25 @@ from .stats import (  # noqa: F401
     derive_detection_stats,
     summarize_localization,
 )
-from .shape import FOUR_NUMBERS, NON_NEGATIVE_INT, NULL, NUMBER, Fields, Nullable, describe, problems
+from .shape import FOUR_NUMBERS, NON_NEGATIVE_INT, NULL, NUMBER, Fields, Nullable, Rule, describe, problems
 from .v2v import DialogueTranscript, LinkModel, V2VMessage, decode_message, encode_message
 
 log = logging.getLogger(__name__)
 
 RENDER_TARGETS = ("csv", "records", "svg")
 
-# outcome -> the field its detection is rebuilt from; of these fields, a
-# record sets exactly its outcome's (a fault record none)
-_OUTCOME_NEEDS = {"fault": None, "verdict": "verdict", "located": "box", "failure": "failure_kind"}
-_DETECTION_FIELDS = tuple(name for name in _OUTCOME_NEEDS.values() if name is not None)
+# outcome -> the field a record of it is rebuilt from; of these fields, a
+# record sets exactly its outcome's
+_OUTCOME_NEEDS = {"fault": "fault", "verdict": "verdict", "located": "box", "failure": "failure_kind"}
+# recall and IoU are shares of an area
+_SHARE = Nullable(Rule("must be a number from 0 to 1", lambda v: type(v) in NUMBER and 0 <= v <= 1))
 
 # one result record (docs/schemas.md), fields in emission order
 _RECORD_SHAPE = Fields(
     {
         "scene_id": (str,),
         "prompt_id": (str,),
-        "run_idx": (int,),
+        "run_idx": NON_NEGATIVE_INT,
         "outcome": frozenset(_OUTCOME_NEEDS),
         "verdict": (bool, NULL),
         "label": (bool, NULL),
@@ -75,8 +76,8 @@ _RECORD_SHAPE = Fields(
         "latency": NUMBER,
         "raw_text": (str,),
         "overlap": (bool, NULL),
-        "recall": (*NUMBER, NULL),
-        "iou": (*NUMBER, NULL),
+        "recall": _SHARE,
+        "iou": _SHARE,
     },
     others=True,
 )
@@ -178,11 +179,14 @@ def _record_problem(record) -> str | None:
         return describe(*found[0])
     outcome = record["outcome"]
     needed = _OUTCOME_NEEDS[outcome]
-    if needed is not None and record[needed] is None:
+    if record[needed] is None:
         return f"{outcome} record has no {needed}"
-    for name in _DETECTION_FIELDS:
+    for name in _OUTCOME_NEEDS.values():
         if name != needed and record[name] is not None:
             return f"malformed result record: fields do not match kind {outcome}: it has a {name}"
+    unscored = record["overlap"] is None
+    if (record["recall"] is None) is not unscored or (record["iou"] is None) is not unscored:
+        return "malformed result record: overlap, recall and iou must be all set or all null"
     return None
 
 
@@ -536,8 +540,6 @@ def _decode(records: list[dict]) -> tuple[tuple[RunResult, ...], tuple[Localizat
 
 def rebuild_binary(records: list[dict]) -> BinaryExperimentResult:
     """Reconstruct a binary experiment from its emitted records."""
-    if not records:
-        raise ReportError("no binary result records")
     results, _ = _decode(records)
     labels = {r["scene_id"]: r["label"] for r in records if r["label"] is not None}
     n_runs = max(r.run_idx for r in results) + 1
@@ -584,6 +586,19 @@ def rebuild_transcript(transcript_path: Path, link_path: Path) -> DialogueTransc
         raise ReportError(f"cannot rebuild the transcript in {transcript_path.parent}: {e}") from e
 
 
+def _check_runs(records: list[dict], part: str, name: str) -> None:
+    """Reject an empty records file, or one whose runs of a prompt are not numbered 0..n-1."""
+    if not records:
+        raise ReportError(f"no {part} result records in {name}")
+    runs: dict[str, set[int]] = {}
+    for record in records:
+        runs.setdefault(record["prompt_id"], set()).add(record["run_idx"])
+    for prompt_id, found in sorted(runs.items()):
+        if len(found) != max(found) + 1:
+            missing = next(run for run in range(len(found)) if run not in found)
+            raise ReportError(f"{name}: prompt {prompt_id} has run_idx {max(found)} but no run {missing}")
+
+
 def consistency_or_none(results) -> list[ConsistencyRecord] | None:
     """Run consistency of ``results``, or None when no key ran twice."""
     try:
@@ -617,6 +632,7 @@ def rerender(in_dir: str | Path, targets) -> list[Path]:
         if not path.is_file():
             continue
         records = _read_lines(path, _decode_record)
+        _check_runs(records, part, name)
         outcome = rebuild(records)
         bundle_kwargs[part] = outcome
         all_results.extend(outcome.results)

@@ -460,3 +460,65 @@ def test_exp1_over_a_corrupted_fixture_exits_2(fixture_workspace, data):
     assert code == EXIT_DATA
     assert err.getvalue().startswith("fovlink: fixture error: ")
     assert "Traceback" not in err.getvalue()
+
+
+def _v2v_scenario(tmp_path: Path) -> Path:
+    scenario = tmp_path / "scenario.json"
+    vehicles = [
+        {"vehicle_id": "ego", "role": "ego"},
+        {"vehicle_id": "vehicle_a", "role": "remote", "scene_id": "pos_a"},
+        {"vehicle_id": "vehicle_b", "role": "remote", "scene_id": "pos_b"},
+    ]
+    link = {"rate_bps": 1000000, "overhead": 0.1}
+    scenario.write_text(json.dumps({"vehicles": vehicles, "link": link, "prompt_id": "P1"}), encoding="utf-8")
+    return scenario
+
+
+def test_run_subcommands_print_exactly_these_lines(workspace, capsys):
+    """The whole stdout of exp1, exp2, exp3 and v2v: summary lines, then one ``wrote`` line per file."""
+    tmp_path, manifest, scenes = workspace
+    script = binary_script(scenes, runs=2, flip={"pos_b"})
+    script[script_key("neg_a", "BIN", 1)] = {"fault": "timeout"}
+    for prompt_id, miss in (("P1", "I cannot identify any pedestrian."), ("P2", "(0.1,0.1), (0.2")):
+        script.update(localization_script(scenes, GT_TEMPLATE, prompt_id, runs=2))
+        script[script_key("pos_b", prompt_id, 1)] = {"text": miss}
+    fixture = write_fixture(tmp_path, script)
+    common = ["--manifest", manifest, "--fixture", fixture, "--runs", 2]
+    out = tmp_path / "out"
+    cases = [
+        (
+            ["exp1", *common],
+            ["exp1 BIN: matrix (tp=1, fn=1, fp=0, tn=1), recall 50.00%"],
+            ["binary_results.jsonl", "consistency.csv", "detection_stats.csv"],
+        ),
+        (
+            ["exp2", "--prompt", "P2", *common],
+            ["exp2 P2: union rate 75.00% over 4 tests, recall_all 75.00%"],
+            [
+                "consistency.csv", "failures.csv", "iou_shares.svg", "localization_results.jsonl",
+                "localization_summary.csv", "recall_distribution.svg",
+            ],
+        ),
+        (
+            ["exp3", "--prompts", "P2,P1", *common],
+            ["exp3 P2: union rate 75.00%", "exp3 P1: union rate 75.00%"],
+            [
+                "comparison_results.jsonl", "consistency.csv", "iou_shares.svg",
+                "prompt_comparison.csv", "recall_distribution.svg",
+            ],
+        ),
+        (
+            ["v2v", "--scenario", _v2v_scenario(tmp_path), "--manifest", manifest, "--fixture", fixture],
+            [
+                "v2v: 4 messages, dialogue 1535 B (0.013644 s) vs stream 160 B (0.001422 s), "
+                "ratio 9.593750"
+            ],
+            ["v2v_comparison.csv", "v2v_link.json", "v2v_transcript.jsonl"],
+        ),
+    ]
+    for argv, summary, files in cases:
+        target = out / str(argv[0])
+        assert run_cli(*argv, "--out", target) == EXIT_OK, argv
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines() == summary + [f"wrote {target / name}" for name in files]

@@ -1,7 +1,14 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
+import resource
 import shutil
+import signal
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fovlink
 from fovlink.cli import EXIT_DATA, EXIT_OK, main
 from fovlink.dataset import load_manifest
 from fovlink.experiments import (
@@ -376,6 +384,7 @@ class TestMalformedRecords:
             ("localization_results.jsonl", "failure", "failure_kind", "Bogus", "unknown failure_kind"),
             ("binary_results.jsonl", "verdict", "raw_text", 5, "'raw_text' has type int"),
             ("localization_results.jsonl", "located", "box", None, "located record has no box"),
+            ("binary_results.jsonl", "fault", "fault", None, "fault record has no fault"),
         ],
     )
     def test_bad_field_names_file_and_line(self, record_dirs, tmp_path, name, outcome, field, value, reason):
@@ -427,6 +436,7 @@ class TestMalformedRecords:
             ("localization_results.jsonl", "located", "verdict", True),
             ("comparison_results.jsonl", "failure", "box", [0.1, 0.1, 0.2, 0.2]),
             ("binary_results.jsonl", "fault", "verdict", False),
+            ("localization_results.jsonl", "located", "fault", "Timeout: scripted"),
         ],
     )
     def test_disagreeing_fields_name_file_line_and_outcome(
@@ -542,3 +552,131 @@ def test_report_over_a_corrupted_record_exits_2(record_dirs, data):
         shutil.copytree(record_dirs[name], out)
         (out / name).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         assert main(["report", "--in", str(out)]) == EXIT_DATA
+
+
+def _rewrite(out: Path, name: str, edit) -> None:
+    """Apply ``edit`` to the records of ``out / name`` and write them back."""
+    path = out / name
+    records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    edit(records)
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+
+
+class TestRunIndices:
+    def test_negative_run_idx_exits_2(self, record_dirs, tmp_path, capsys):
+        # every record at -1 used to crash rebuild_binary with an IndexError
+        out = tmp_path / "out"
+        shutil.copytree(record_dirs["binary_results.jsonl"], out)
+        _rewrite(out, "binary_results.jsonl", lambda records: [r.update(run_idx=-1) for r in records])
+        assert main(["report", "--in", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "binary_results.jsonl line 1: field 'run_idx' must be a non-negative integer" in err
+
+    def test_huge_run_idx_exits_2_at_once(self, record_dirs, tmp_path):
+        # one record at 10**9 used to start building 10**9 confusion matrices; a
+        # subprocess with a time and memory limit keeps a regression from hanging
+        out = tmp_path / "out"
+        shutil.copytree(record_dirs["binary_results.jsonl"], out)
+        _rewrite(out, "binary_results.jsonl", lambda records: records[0].update(run_idx=10**9))
+        src = str(Path(fovlink.__file__).resolve().parents[1])
+        limit = 1 << 30
+        done = subprocess.run(
+            [sys.executable, "-m", "fovlink", "report", "--in", str(out)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert done.returncode == EXIT_DATA, done.stderr
+        assert "binary_results.jsonl: prompt BIN has run_idx 1000000000 but no run 2" in done.stderr
+
+    def test_runs_are_counted_per_prompt(self, record_dirs, tmp_path, capsys):
+        # P2 at runs 1 and 2 leaves the file as a whole with runs 0, 1 and 2
+        out = tmp_path / "out"
+        shutil.copytree(record_dirs["comparison_results.jsonl"], out)
+
+        def shift_p2(records):
+            for r in records:
+                if r["prompt_id"] == "P2":
+                    r["run_idx"] += 1
+
+        _rewrite(out, "comparison_results.jsonl", shift_p2)
+        assert main(["report", "--in", str(out)]) == EXIT_DATA
+        assert "comparison_results.jsonl: prompt P2 has run_idx 2 but no run 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, field",
+    [("localization_results.jsonl", "recall"), ("comparison_results.jsonl", "iou")],
+)
+def test_sample_fields_set_apart_exit_2(record_dirs, tmp_path, capsys, name, field):
+    # "overlap": true with "recall": null used to raise TypeError from math.fsum
+    out = tmp_path / "out"
+    shutil.copytree(record_dirs[name], out)
+    records = [json.loads(line) for line in (out / name).read_text(encoding="utf-8").splitlines()]
+    index = next(i for i, r in enumerate(records) if r["overlap"])
+    _rewrite(out, name, lambda records: records[index].update({field: None}))
+    assert main(["report", "--in", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{name} line {index + 1}: malformed result record: overlap, recall and iou must be all set" in err
+
+
+@pytest.mark.parametrize(
+    "part, name",
+    [("localization", "localization_results.jsonl"), ("comparison", "comparison_results.jsonl")],
+)
+def test_empty_records_file_exits_2_and_writes_nothing(record_dirs, tmp_path, capsys, part, name):
+    # an empty comparison file used to exit 0 with a header-only CSV beside the old charts
+    out = tmp_path / "out"
+    shutil.copytree(record_dirs[name], out)
+    (out / name).write_text("", encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main(["report", "--in", str(out)]) == EXIT_DATA
+    assert f"no {part} result records in {name}" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+# fields that docs/schemas.md lets be null, and the numbers a record holds
+_NULLABLE = frozenset(name for name, kinds in _FIELD_TYPES.items() if "null" in kinds)
+_EDGE_NUMBERS = (0, -1, 1e308)
+
+
+@contextlib.contextmanager
+def _time_limit(seconds: int):
+    def expire(signum, frame):
+        raise TimeoutError(f"fovlink report ran longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_report_over_a_record_with_another_documented_value_exits_0_or_2(record_dirs, data):
+    name = data.draw(st.sampled_from(RECORD_FILES))
+    lines = (record_dirs[name] / name).read_text(encoding="utf-8").splitlines()
+    index = data.draw(st.integers(0, len(lines) - 1))
+    record = json.loads(lines[index])
+    # (field, values of its documented types) that differ from what it holds
+    choices = [(field, st.just(None)) for field in sorted(_NULLABLE) if record[field] is not None]
+    choices += [(field, st.just(not value)) for field, value in record.items() if type(value) is bool]
+    choices.append(("run_idx", st.integers(-3, 10**9)))
+    choices += [
+        (field, st.sampled_from(_EDGE_NUMBERS))
+        for field in ("latency", "recall", "iou")
+        if "null" not in _FIELD_TYPES[field] or record[field] is not None
+    ]
+    field, values = data.draw(st.sampled_from(choices))
+    record[field] = data.draw(values)
+    lines[index] = json.dumps(record)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), _time_limit(20):
+        out = Path(tmp) / "out"
+        shutil.copytree(record_dirs[name], out)
+        (out / name).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        code = main(["report", "--in", str(out)])
+    assert code in (EXIT_OK, EXIT_DATA), err.getvalue()
+    assert "Traceback" not in err.getvalue()
