@@ -2,7 +2,8 @@
 
 Ground truth arrives as a line-delimited UTF-8 manifest, one JSON object
 of ``MANIFEST_SHAPE`` per line. Relative image paths are resolved
-against the manifest's directory.
+against the manifest's directory. Loading checks the manifest only; a
+scene's frame file is first opened by ``Frame``, when a run reaches it.
 
 Curation tags are free-form strings; the vocabulary used by the bundled
 fixtures and the low-light analysis is:
@@ -13,7 +14,10 @@ fixtures and the low-light analysis is:
 
 from __future__ import annotations
 
+import errno
 import json
+import os
+import stat
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,6 +44,10 @@ class ManifestError(FovlinkError):
 
 class MissingFile(ManifestError):
     """Manifest file does not exist."""
+
+
+class EmptyFrame(ManifestError):
+    """A scene's frame file holds no bytes."""
 
 
 class SchemaViolation(ManifestError):
@@ -108,6 +116,37 @@ class SceneRecord:
             if reason is not None:
                 return reason
         return None
+
+
+class Frame:
+    """One scene's camera frame: opened once for its size, read at most once.
+
+    Opening raises what a read would for a missing or unreadable file (the
+    same ``OSError``) and ``EmptyFrame`` for a file with no bytes, without
+    reading it, so a backend that never looks at the pixels costs no read.
+    """
+
+    __slots__ = ("path", "size", "_data")
+
+    def __init__(self, scene: SceneRecord) -> None:
+        fd = os.open(scene.image_path, os.O_RDONLY)
+        try:
+            info = os.fstat(fd)
+        finally:
+            os.close(fd)
+        if stat.S_ISDIR(info.st_mode):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(scene.image_path))
+        if info.st_size == 0:
+            raise EmptyFrame(f"scene {scene.scene_id!r}: frame {scene.image_path} is empty")
+        self.path = scene.image_path
+        self.size = info.st_size
+        self._data: bytes | None = None
+
+    def read(self) -> bytes:
+        """The frame's bytes, read on the first call."""
+        if self._data is None:
+            self._data = self.path.read_bytes()
+        return self._data
 
 
 @dataclass(frozen=True)

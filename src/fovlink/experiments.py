@@ -6,12 +6,14 @@ bounding box over the positives and scores the three localization
 measures. Experiment 3 repeats experiment 2 across the registered
 coordinate prompts for a comparative table.
 
-The dispatch unit is one scene: a task reads the scene's frame once and
-asks every (prompt, run) of the experiment about it, so experiment 3
-reads each positive once for all its prompts. For a backend that waits
-on the network, tasks run on a pool of ``parallelism`` threads, holding
-one frame per worker; a simulated backend never waits, so its tasks run
-on the calling thread whatever the parallelism. Each prompt's results
+The dispatch unit is one scene: a task opens the scene's frame once and
+asks every (prompt, run) of the experiment about it. Only a backend that
+is not simulated looks at the pixels, so only it reads the frame, once
+per task: experiment 3 reads each positive once for all its prompts, and
+a simulated backend reads no frame at all. For a backend that waits on
+the network, tasks run on a pool of ``parallelism`` threads, holding one
+frame per worker; a simulated backend never waits, so its tasks run on
+the calling thread whatever the parallelism. Each prompt's results
 are sorted by (scene_id, prompt_id, run_idx) so output never depends on
 completion order. Per-scene gateway faults become recorded fault
 results; a run aborts only when every scene failed for a prompt, or for
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 from itertools import chain, combinations
 
 from . import stats as stats_mod
-from .dataset import SceneRecord, SceneSet
+from .dataset import Frame, SceneRecord, SceneSet
 from .errors import FovlinkError
 from .gateway import Gateway, GatewayError, QueryParams, UnscriptedKey
 from .geometry import NormalizedBBox, iou, normalize_bbox, overlap_recall, overlaps
@@ -130,7 +132,7 @@ class ConsistencyRecord:
 
 
 def query_detection(
-    image: bytes,
+    frame: Frame,
     scene_id: str,
     prompt: PromptSpec,
     run_idx: int,
@@ -140,10 +142,13 @@ def query_detection(
     """Ask the vision model about one frame and parse its reply.
 
     The one query → detection step shared by the experiments and the V2V
-    dialogue. A gateway fault becomes a recorded fault result; an
-    unscripted mock key is a harness bug and propagates.
+    dialogue. A simulated backend answers by key without looking at the
+    pixels, so it gets the unread frame; any other backend gets its bytes.
+    A gateway fault becomes a recorded fault result; an unscripted mock
+    key is a harness bug and propagates.
     """
     key = (scene_id, prompt.prompt_id, run_idx)
+    image = frame if gateway.backend.simulated else frame.read()
     try:
         response = gateway.send_vision_query(image, prompt.text, params, key)
     except UnscriptedKey:
@@ -181,17 +186,19 @@ def _dispatch(
 ) -> dict[str, tuple[RunResult, ...]]:
     """Every (scene, prompt, run) query, one task per scene; results per prompt id.
 
-    Tasks share a thread pool only when the backend waits on the network:
-    a simulated backend answers at once, so worker threads would add only
-    interpreter-lock hand-offs, and its tasks run on the calling thread.
+    Each task opens its scene's frame once; a backend that is not simulated
+    reads it once, at its first query. Tasks share a thread pool only when
+    the backend waits on the network: a simulated backend answers at once,
+    so worker threads would add only interpreter-lock hand-offs, and its
+    tasks run on the calling thread.
     """
     if not scenes:
         raise ExperimentPrecondition("experiment invoked with zero scenes")
 
     def query_scene(scene: SceneRecord) -> list[RunResult]:
-        image = scene.image_path.read_bytes()
+        frame = Frame(scene)
         return [
-            query_detection(image, scene.scene_id, prompt, run_idx, gateway, config.params)
+            query_detection(frame, scene.scene_id, prompt, run_idx, gateway, config.params)
             for prompt in prompts
             for run_idx in range(config.runs_per_prompt)
         ]
@@ -346,8 +353,9 @@ def run_prompt_comparison(
     """Experiment 3: the localization experiment across several prompts.
 
     Every prompt is validated before any query; the prompts then share one
-    dispatch, so each positive's frame is read once for all of them. A
-    repeated prompt id is queried once and keeps its place in the table.
+    dispatch, so a backend that reads frames reads each positive's once
+    for all of them. A repeated prompt id is queried once and keeps its
+    place in the table.
     Emits one localization summary per prompt plus the per-image recall
     samples behind the recall-distribution chart.
     """

@@ -10,7 +10,10 @@ HTTP 408, 429 and 5xx are retried; any other 4xx fails after one attempt.
 Defaults lean towards determinism: temperature 0, max_tokens 300 (enough
 for the coordinate template while still letting verbose-reply failures
 happen with live models). Images travel as base64 data URIs without any
-resizing; a transformation here would be an undocumented confound.
+resizing; a transformation here would be an undocumented confound. A
+backend marked ``simulated`` answers by query key and never looks at the
+pixels, so the experiments hand it an unread ``dataset.Frame``, opened
+once per scene, instead of the frame's bytes.
 """
 
 from __future__ import annotations
@@ -24,8 +27,12 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import FovlinkError
+
+if TYPE_CHECKING:
+    from .dataset import Frame
 
 QueryKey = tuple[str, str, int]  # (scene_id, prompt_id, run_idx)
 
@@ -149,7 +156,7 @@ class MockBackend:
     def from_file(cls, path: str | Path) -> MockBackend:
         return cls(load_mock_fixture(path))
 
-    def complete(self, image: bytes, prompt: str, params: QueryParams, key: QueryKey | None) -> str:
+    def complete(self, image: bytes | Frame, prompt: str, params: QueryParams, key: QueryKey | None) -> str:
         if key is None:
             raise UnscriptedKey("mock backend requires a query key")
         entry = mock_lookup(self.script, key)
@@ -255,12 +262,15 @@ class Gateway:
 
     def send_vision_query(
         self,
-        image: bytes,
+        image: bytes | Frame,
         prompt: str,
         params: QueryParams,
         key: QueryKey | None = None,
     ) -> RawResponse:
         """Send one image+prompt query, returning the reply text verbatim.
+
+        ``image`` is the frame's bytes; a simulated backend may be given
+        the unread ``Frame`` instead, since it never looks at the pixels.
 
         Retries only _BackendFault signals (transport, timeout, rate
         limit), up to params.max_retries extra attempts with exponential

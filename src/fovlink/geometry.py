@@ -106,14 +106,17 @@ def canonicalize_bbox(
     for v in (ax, ay, bx, by):
         if not math.isfinite(v):
             raise NonFiniteInput(f"non-finite coordinate: {v!r}")
-    x, x2 = min(ax, bx), max(ax, bx)
-    y, y2 = min(ay, by), max(ay, by)
+    x, x2 = (ax, bx) if ax <= bx else (bx, ax)
+    y, y2 = (ay, by) if ay <= by else (by, ay)
     clamped = x < 0.0 or y < 0.0 or x2 > 1.0 or y2 > 1.0
-
-    def clamp(v: float) -> float:
-        return min(1.0, max(0.0, v))
-
-    return NormalizedBBox(clamp(x), clamp(y), clamp(x2), clamp(y2), clamped=clamped)
+    # every corner goes through max(0.0, ...), which also turns -0.0 into 0.0
+    return NormalizedBBox(
+        min(1.0, max(0.0, x)),
+        min(1.0, max(0.0, y)),
+        min(1.0, max(0.0, x2)),
+        min(1.0, max(0.0, y2)),
+        clamped=clamped,
+    )
 
 
 def intersection_area(a: NormalizedBBox, b: NormalizedBBox) -> float:
@@ -126,9 +129,10 @@ def intersection_area(a: NormalizedBBox, b: NormalizedBBox) -> float:
 
 def overlap_recall(gt: NormalizedBBox, gen: NormalizedBBox) -> float:
     """Fraction of the ground-truth box covered by the generated one."""
-    if gt.area == 0.0:
+    gt_area = gt.area
+    if gt_area == 0.0:
         raise DegenerateGroundTruth("ground-truth box has zero area")
-    return intersection_area(gt, gen) / gt.area
+    return intersection_area(gt, gen) / gt_area
 
 
 def iou(gt: NormalizedBBox, gen: NormalizedBBox) -> float:
@@ -136,7 +140,8 @@ def iou(gt: NormalizedBBox, gen: NormalizedBBox) -> float:
     inter = intersection_area(gt, gen)
     # the max() only absorbs float dust: the true union is never smaller
     # than either box, and keeping that exact preserves iou <= recall
-    union = max(gt.area, gen.area, gt.area + gen.area - inter)
+    gt_area, gen_area = gt.area, gen.area
+    union = max(gt_area, gen_area, gt_area + gen_area - inter)
     if union == 0.0:
         raise BothDegenerate("both boxes have zero area")
     return inter / union

@@ -84,16 +84,17 @@ class ParsedDetection:
     coerced: bool = False
 
     def __post_init__(self) -> None:
-        populated = sum(
-            x is not None for x in (self.verdict, self.box, self.failure_kind)
-        )
-        expected = {
-            DetectionKind.VERDICT: self.verdict,
-            DetectionKind.LOCATED: self.box,
-            DetectionKind.FAILURE: self.failure_kind,
-        }[self.kind]
-        if populated != 1 or expected is None:
+        populated = (self.verdict is not None) + (self.box is not None) + (self.failure_kind is not None)
+        if populated != 1 or getattr(self, _KIND_FIELD[self.kind]) is None:
             raise ValueError(f"fields do not match kind {self.kind.value}")
+
+
+# kind -> the one field a detection of that kind populates
+_KIND_FIELD = {
+    DetectionKind.VERDICT: "verdict",
+    DetectionKind.LOCATED: "box",
+    DetectionKind.FAILURE: "failure_kind",
+}
 
 
 def excerpt(text: str) -> str:

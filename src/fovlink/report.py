@@ -44,7 +44,7 @@ from .stats import (  # noqa: F401
     derive_detection_stats,
     summarize_localization,
 )
-from .shape import FOUR_NUMBERS, NON_NEGATIVE_INT, NULL, NUMBER, Fields, Nullable, Rule, describe, problems
+from .shape import COMPACT_JSON, FOUR_NUMBERS, NON_NEGATIVE_INT, NULL, NUMBER, Fields, Nullable, Rule, describe, problems
 from .v2v import DialogueTranscript, LinkModel, V2VMessage, decode_message, encode_message
 
 log = logging.getLogger(__name__)
@@ -236,7 +236,7 @@ def _lines(lines) -> str:
 
 
 def _json_lines(records) -> str:
-    return _lines(json.dumps(r, separators=(",", ":"), ensure_ascii=False) for r in records)
+    return _lines(COMPACT_JSON.encode(r) for r in records)
 
 
 def _stats_csv(binary: BinaryExperimentResult) -> str:
@@ -587,12 +587,17 @@ def rebuild_transcript(transcript_path: Path, link_path: Path) -> DialogueTransc
 
 
 def _check_runs(records: list[dict], part: str, name: str) -> None:
-    """Reject an empty records file, or one whose runs of a prompt are not numbered 0..n-1."""
+    """Reject an empty records file, a repeated (scene, prompt, run) or a prompt's runs not numbered 0..n-1."""
     if not records:
         raise ReportError(f"no {part} result records in {name}")
+    keys: set[tuple[str, str, int]] = set()
     runs: dict[str, set[int]] = {}
     for record in records:
-        runs.setdefault(record["prompt_id"], set()).add(record["run_idx"])
+        key = scene_id, prompt_id, run_idx = record["scene_id"], record["prompt_id"], record["run_idx"]
+        if key in keys:
+            raise ReportError(f"{name}: prompt {prompt_id} has two records of scene {scene_id!r} run {run_idx}")
+        keys.add(key)
+        runs.setdefault(prompt_id, set()).add(run_idx)
     for prompt_id, found in sorted(runs.items()):
         if len(found) != max(found) + 1:
             missing = next(run for run in range(len(found)) if run not in found)

@@ -11,10 +11,15 @@ fits costs no path strings.
 
 from __future__ import annotations
 
+import json
 from typing import Any, Callable
 
 NULL = type(None)
 NUMBER = (int, float)
+
+# the one writer of result records, V2V messages and the link metadata:
+# compact separators, non-ASCII kept; built once rather than per json.dumps
+COMPACT_JSON = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
 
 _ABSENT = object()
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
-from .dataset import SceneSet
+from .dataset import Frame, SceneSet
 from .errors import FovlinkError
 from .experiments import query_detection
 from .gateway import Gateway, QueryParams
@@ -32,7 +32,7 @@ from .parsing import DetectionKind, FailureKind, ParsedDetection
 # bench/spans.py traces the parsers under these names
 from .parsing import detect_bbox, detect_binary  # noqa: F401
 from .prompts import get_prompt
-from .shape import NON_EMPTY_STR, NON_NEGATIVE_INT, NULL, NUMBER, Fields, ListOf, Nullable, describe, problems
+from .shape import COMPACT_JSON, NON_EMPTY_STR, NON_NEGATIVE_INT, NULL, NUMBER, Fields, ListOf, Nullable, describe, problems
 
 PROTOCOL_VERSION = "1"
 
@@ -179,7 +179,7 @@ def encode_message(msg: V2VMessage) -> bytes:
     box = payload.get("box")
     if box is not None:
         payload["box"] = {name: getattr(box, name) for name in _BOX_SHAPE.fields}
-    return json.dumps(record, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    return COMPACT_JSON.encode(record).encode("utf-8")
 
 
 def decode_message(data: bytes) -> V2VMessage:
@@ -291,7 +291,7 @@ def run_dialogue(
     Message timestamps come from a simulated clock that advances by the
     analytic transmission delay of each message plus the model latency,
     so transcripts are deterministic. The stream comparison counts the
-    raw bytes of every remote's current frame.
+    raw bytes of every remote's current frame, from its size on disk.
     """
     if ego.role is not Role.EGO:
         raise ValueError(f"vehicle {ego.vehicle_id!r} is not the ego")
@@ -322,9 +322,9 @@ def run_dialogue(
         query = QueryPayload(prompt_id=prompt.prompt_id, prompt_text=prompt.text)
         push(MsgType.QUERY, ego.vehicle_id, remote.vehicle_id, correlation_id, query)
 
-        image = scene.image_path.read_bytes()
-        stream_bytes += len(image)
-        result = query_detection(image, scene.scene_id, prompt, 0, gateway, params)
+        frame = Frame(scene)
+        stream_bytes += frame.size
+        result = query_detection(frame, scene.scene_id, prompt, 0, gateway, params)
         clock += result.latency
         if result.fault is None:
             msg_type, payload = MsgType.RESPONSE, _response_payload(result.detection)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+from collections import Counter
 from http import HTTPStatus
 from pathlib import Path
 
@@ -50,6 +51,20 @@ def write_manifest(
             # deterministic dummy bytes, file content is never decoded
             image.write_bytes(record["scene_id"].encode("utf-8") * 16)
     return path
+
+
+@pytest.fixture
+def frame_reads(monkeypatch):
+    """Counts Path.read_bytes calls per image file name."""
+    reads: Counter[str] = Counter()
+    read_bytes = Path.read_bytes
+
+    def counting(path):
+        reads[path.name] += 1
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", counting)
+    return reads
 
 
 def write_fixture(directory: Path, script: dict[str, dict], name: str = "fixture.json") -> Path:

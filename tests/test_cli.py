@@ -177,6 +177,45 @@ class TestFixtureAndBackendExitCodes:
         assert "all 3 scenes failed at the gateway in run 0" in capsys.readouterr().err
 
 
+class TestFrames:
+    """A frame that cannot be used stops the run with one line and exit 2, whatever the backend."""
+
+    def run(self, workspace, monkeypatch, backend):
+        tmp_path, manifest, scenes = workspace
+        fixture = write_fixture(tmp_path, binary_script(scenes))
+        common = ["exp1", "--manifest", manifest, "--runs", 1, "--out", tmp_path / "out"]
+        if backend == "mock":
+            return run_cli(*common, "--fixture", fixture)
+        with LoopbackServer(lambda body: completion_reply("no")) as server:
+            monkeypatch.setenv("FOVLINK_BASE_URL", server.url)
+            return run_cli(*common, "--backend", "live")
+
+    @pytest.mark.parametrize("backend", ["mock", "live"])
+    def test_empty_frame_is_data_error(self, workspace, monkeypatch, capsys, backend):
+        # a 0-byte frame used to end in a ValueError traceback (exit 1)
+        tmp_path, _, scenes = workspace
+        frame = scenes.by_id["pos_b"].image_path
+        frame.write_bytes(b"")
+        assert self.run(workspace, monkeypatch, backend) == EXIT_DATA
+        assert capsys.readouterr().err == f"fovlink: scene 'pos_b': frame {frame} is empty\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("backend", ["mock", "live"])
+    @pytest.mark.parametrize(
+        "damage, error",
+        [("missing", "[Errno 2] No such file or directory"), ("directory", "[Errno 21] Is a directory")],
+    )
+    def test_unreadable_frame_is_io_error(self, workspace, monkeypatch, capsys, backend, damage, error):
+        tmp_path, _, scenes = workspace
+        frame = scenes.by_id["neg_a"].image_path
+        frame.unlink()
+        if damage == "directory":
+            frame.mkdir()
+        assert self.run(workspace, monkeypatch, backend) == EXIT_DATA
+        assert capsys.readouterr().err == f"fovlink: i/o error: {error}: '{frame}'\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestDroppedConnections:
     """A live server that closes connections yields per-scene faults, not an i/o abort."""
 

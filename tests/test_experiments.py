@@ -3,11 +3,10 @@ from __future__ import annotations
 import threading
 from collections import Counter
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
-from fovlink.dataset import load_manifest
+from fovlink.dataset import Frame, load_manifest
 from fovlink.experiments import (
     AllScenesFailed,
     PromptComparison,
@@ -351,20 +350,6 @@ class TestDeterminism:
         assert outcomes[0].matrix == outcomes[1].matrix
 
 
-@pytest.fixture
-def frame_reads(monkeypatch):
-    """Counts Path.read_bytes calls per image file name."""
-    reads: Counter[str] = Counter()
-    read_bytes = Path.read_bytes
-
-    def counting(path):
-        reads[path.name] += 1
-        return read_bytes(path)
-
-    monkeypatch.setattr(Path, "read_bytes", counting)
-    return reads
-
-
 def comparison_script(scenes, prompt_ids=("P1", "P2", "P3"), runs=3):
     replies = {"P1": GT_TEMPLATE, "P2": "(0.4,0.4), (0.6,0.6)", "P3": NO_PED_REPLY}
     script = {}
@@ -378,7 +363,7 @@ TARGETS = ("csv", "records", "svg")
 
 
 class TestFrameReads:
-    """Each task reads its scene's frame once, however many queries it asks."""
+    """A mock never reads a frame; a backend that looks at pixels reads each once per task."""
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_binary_reads_each_scene_once(self, small_manifest, frame_reads, parallelism):
@@ -388,13 +373,22 @@ class TestFrameReads:
         )
         script = binary_script(scenes, runs=3)
         run_binary_experiment(scenes, "BIN", Gateway(MockBackend(script)), config)
+        assert frame_reads == Counter()
+        backend = ThreadRecordingBackend(script, simulated=False)
+        run_binary_experiment(scenes, "BIN", Gateway(backend), config)
         assert frame_reads == Counter({f"{r.scene_id}.jpg": 1 for r in scenes})
 
     def test_localization_reads_each_positive_once(self, small_manifest, frame_reads):
         scenes = load_manifest(small_manifest)
         script = localization_script(scenes, GT_TEMPLATE, runs=3)
         run_localization_experiment(scenes, "P1", Gateway(MockBackend(script)), CONFIG_3RUNS)
-        assert frame_reads == Counter({f"{r.scene_id}.jpg": 1 for r in scenes.positives})
+        assert frame_reads == Counter()
+        for parallelism in (1, 2):
+            frame_reads.clear()
+            config = replace(CONFIG_3RUNS, parallelism=parallelism)
+            backend = ThreadRecordingBackend(script, simulated=False)
+            run_localization_experiment(scenes, "P1", Gateway(backend), config)
+            assert frame_reads == Counter({f"{r.scene_id}.jpg": 1 for r in scenes.positives})
 
     def test_comparison_reads_each_positive_once_for_all_prompts(
         self, small_manifest, frame_reads
@@ -402,8 +396,30 @@ class TestFrameReads:
         scenes = load_manifest(small_manifest)
         gateway = Gateway(MockBackend(comparison_script(scenes)))
         comparison = run_prompt_comparison(scenes, ("P1", "P2", "P3"), gateway, CONFIG_3RUNS)
-        assert frame_reads == Counter({f"{r.scene_id}.jpg": 1 for r in scenes.positives})
+        assert frame_reads == Counter()
         assert len(comparison.results) == 3 * 3 * len(scenes.positives)
+        for parallelism in (1, 2):
+            frame_reads.clear()
+            config = replace(CONFIG_3RUNS, parallelism=parallelism)
+            backend = ThreadRecordingBackend(comparison_script(scenes), simulated=False)
+            comparison = run_prompt_comparison(scenes, ("P1", "P2", "P3"), Gateway(backend), config)
+            assert frame_reads == Counter({f"{r.scene_id}.jpg": 1 for r in scenes.positives})
+            assert len(comparison.results) == 3 * 3 * len(scenes.positives)
+
+    def test_only_a_backend_that_is_not_simulated_gets_the_frame_bytes(self, small_manifest):
+        scenes = load_manifest(small_manifest)
+        script = binary_script(scenes)
+        for simulated in (True, False):
+            backend = ThreadRecordingBackend(script, simulated=simulated)
+            run_binary_experiment(scenes, "BIN", Gateway(backend), CONFIG_1RUN)
+            images = {scene_id: image for (scene_id, _, _), image in backend.images}
+            assert len(images) == len(backend.images) == len(scenes)
+            if simulated:
+                assert {k: (type(v), v.size) for k, v in images.items()} == {
+                    r.scene_id: (Frame, r.image_path.stat().st_size) for r in scenes
+                }
+            else:
+                assert images == {r.scene_id: r.image_path.read_bytes() for r in scenes}
 
 
 class TestPromptComparisonDispatch:
@@ -438,8 +454,14 @@ class TestPromptComparisonDispatch:
         alone = run_localization_experiment(scenes, "P1", gateway, CONFIG_3RUNS)
         assert comparison == PromptComparison(prompt_ids=("P1", "P1"), runs={"P1": alone})
         assert [pid for pid, _ in comparison.summary_table()] == ["P1", "P1"]
+        # a mock reads no frame
+        assert frame_reads == Counter()
+        backend = ThreadRecordingBackend(comparison_script(scenes, ("P1",)), simulated=False)
+        run_prompt_comparison(scenes, ("P1", "P1"), Gateway(backend), CONFIG_3RUNS)
+        run_localization_experiment(scenes, "P1", Gateway(backend), CONFIG_3RUNS)
         # one read per positive for the comparison, one more for the lone run
         assert frame_reads == Counter({f"{r.scene_id}.jpg": 2 for r in scenes.positives})
+        assert len(backend.threads) == 2 * 3 * len(scenes.positives)
 
     def test_prompt_with_every_query_faulted_aborts(self, small_manifest):
         scenes = load_manifest(small_manifest)
@@ -461,7 +483,7 @@ class TestPromptComparisonDispatch:
 
 
 class ThreadRecordingBackend(MockBackend):
-    """Replays a mock script and records the thread of every call.
+    """Replays a mock script and records the thread and the (key, image) of every call.
 
     With ``simulated=False`` it stands for a backend that waits on the
     network. With ``meet`` set, its first two calls wait for each other, so
@@ -472,12 +494,14 @@ class ThreadRecordingBackend(MockBackend):
         super().__init__(script)
         self.simulated = simulated
         self.threads: list[int] = []
+        self.images: list[tuple[tuple, object]] = []
         self._lock = threading.Lock()
         self._meeting = threading.Barrier(2, timeout=10) if meet else None
 
     def complete(self, image, prompt, params, key):
         with self._lock:
             self.threads.append(threading.get_ident())
+            self.images.append((key, image))
             first_two = len(self.threads) <= 2
         if self._meeting is not None and first_two:
             self._meeting.wait()

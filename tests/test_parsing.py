@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fovlink.experiments import RunResult
 from fovlink.geometry import NormalizedBBox, canonicalize_bbox
 from fovlink.parsing import (
     DetectionKind,
@@ -20,6 +22,7 @@ from fovlink.parsing import (
     parse_bbox_response,
     parse_binary_response,
 )
+from fovlink.report import _json_lines, result_to_record
 
 CORPUS_PATH = Path(__file__).parent / "data" / "parser_corpus.jsonl"
 
@@ -149,3 +152,51 @@ class TestDetectionEnvelopes:
             ParsedDetection(kind=DetectionKind.VERDICT, verdict=True, box=NormalizedBBox(0, 0, 1, 1))
         with pytest.raises(ValueError):
             ParsedDetection(kind=DetectionKind.FAILURE)
+
+
+class TestBoxAndEnvelopeGolden:
+    """Canonical boxes and envelope errors, pinned value for value and byte for byte."""
+
+    @pytest.mark.parametrize(
+        "reply, box, clamped, degenerate",
+        [
+            ("(-0.0,-0.0), (0.5,-0.0)", "[0.0,0.0,0.5,0.0]", "false", "true"),
+            ("(0.6,-0.0), (-0.2,1.3)", "[0.0,0.0,0.6,1.0]", "true", "false"),
+            ("(1.5,0.25), (-0.0,0.5)", "[0.0,0.25,1.0,0.5]", "true", "false"),
+            ("(-0.0,0.4), (0.0,0.8)", "[0.0,0.4,0.0,0.8]", "false", "true"),
+        ],
+    )
+    def test_negative_zero_and_out_of_range_corners(self, reply, box, clamped, degenerate):
+        detection = detect_bbox(reply)
+        corners = detection.box.as_list()
+        assert json.dumps(corners, separators=(",", ":")) == box
+        # 0.0, never -0.0
+        assert [math.copysign(1.0, v) for v in corners] == [1.0] * 4
+        assert json.dumps(detection.box.clamped) == clamped
+        record = result_to_record(RunResult("s", "P1", 0, detection, 0.0, reply))
+        assert _json_lines([record]) == (
+            '{"scene_id":"s","prompt_id":"P1","run_idx":0,"outcome":"located","verdict":null,'
+            f'"label":null,"scene_lowlight":null,"box":{box},"box_clamped":{clamped},'
+            f'"box_degenerate":{degenerate},"failure_kind":null,"coerced":false,"fault":null,'
+            f'"latency":0.0,"raw_text":"{reply}","overlap":null,"recall":null,"iou":null}}\n'
+        )
+
+    @pytest.mark.parametrize(
+        "kind, fields",
+        [
+            (DetectionKind.VERDICT, {}),
+            (DetectionKind.VERDICT, {"verdict": True, "box": NormalizedBBox(0, 0, 1, 1)}),
+            (DetectionKind.VERDICT, {"failure_kind": FailureKind.PARTIAL_COORDINATES}),
+            (DetectionKind.LOCATED, {"verdict": False}),
+            (
+                DetectionKind.LOCATED,
+                {"box": NormalizedBBox(0, 0, 1, 1), "failure_kind": FailureKind.PARTIAL_COORDINATES},
+            ),
+            (DetectionKind.FAILURE, {}),
+            (DetectionKind.FAILURE, {"box": NormalizedBBox(0, 0, 1, 1)}),
+        ],
+    )
+    def test_fields_that_disagree_with_the_kind_keep_the_error_text(self, kind, fields):
+        with pytest.raises(ValueError) as caught:
+            ParsedDetection(kind=kind, **fields)
+        assert str(caught.value) == f"fields do not match kind {kind.value}"

@@ -588,6 +588,24 @@ class TestRunIndices:
         assert done.returncode == EXIT_DATA, done.stderr
         assert "binary_results.jsonl: prompt BIN has run_idx 1000000000 but no run 2" in done.stderr
 
+    @pytest.mark.parametrize(
+        "name", ["binary_results.jsonl", "localization_results.jsonl", "comparison_results.jsonl"]
+    )
+    def test_two_records_of_one_key_exit_2_and_write_nothing(self, record_dirs, tmp_path, capsys, name):
+        # an exp2 record moved from run 1 to run 0 used to exit 0 and give both
+        # records of that key the second one's recall and iou
+        out = tmp_path / "out"
+        shutil.copytree(record_dirs[name], out)
+        records = [json.loads(line) for line in (out / name).read_text(encoding="utf-8").splitlines()]
+        index = next(i for i, r in enumerate(records) if r["run_idx"] == 1)
+        _rewrite(out, name, lambda records: records[index].update(run_idx=0))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert main(["report", "--in", str(out)]) == EXIT_DATA
+        scene_id, prompt_id = records[index]["scene_id"], records[index]["prompt_id"]
+        err = capsys.readouterr().err
+        assert err == f"fovlink: {name}: prompt {prompt_id} has two records of scene {scene_id!r} run 0\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_runs_are_counted_per_prompt(self, record_dirs, tmp_path, capsys):
         # P2 at runs 1 and 2 leaves the file as a whole with runs 0, 1 and 2
         out = tmp_path / "out"

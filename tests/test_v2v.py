@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -419,6 +420,19 @@ class TestRunDialogue:
         stranger = VehicleAgent("vehicle_x", Role.REMOTE, current_frame="nowhere")
         with pytest.raises(ScenarioError):
             run_dialogue(ego, [stranger], scenes, "P1", Gateway(MockBackend(script)), VANET_LINK, PARAMS)
+
+    def test_only_a_backend_that_is_not_simulated_reads_the_frames(self, dialogue_setup, frame_reads):
+        scenes, ego, remotes, script = dialogue_setup
+        frame_sizes = sum(scenes.by_id[r.current_frame].image_path.stat().st_size for r in remotes)
+        transcript = run_dialogue(ego, remotes, scenes, "P1", Gateway(MockBackend(script)), VANET_LINK, PARAMS)
+        assert frame_reads == Counter()
+        assert transcript.stream_bytes == frame_sizes
+
+        backend = MockBackend(script)
+        backend.simulated = False
+        transcript = run_dialogue(ego, remotes, scenes, "P1", Gateway(backend), VANET_LINK, PARAMS)
+        assert frame_reads == Counter({"pos_a.jpg": 1, "pos_b.jpg": 1})
+        assert transcript.stream_bytes == frame_sizes
 
     def test_timestamps_monotone(self, dialogue_setup):
         scenes, ego, remotes, script = dialogue_setup
