@@ -98,6 +98,8 @@ _COMPARISON_FILES = ("prompt_comparison.csv", "comparison_results.jsonl")
 
 # (render target, file name, render) of one output file
 _Output = tuple[str, str, Callable[[], str]]
+# (result, sample, label, scene_lowlight) of one decoded result record
+_Row = tuple[RunResult, LocalizationSample | None, bool | None, bool | None]
 
 
 class ReportError(FovlinkError):
@@ -172,61 +174,45 @@ def result_to_record(
     }
 
 
-def _record_problem(record) -> str | None:
-    """What keeps ``record`` from being a result record of the documented shape."""
+def record_to_result(record) -> tuple[RunResult, LocalizationSample | None]:
+    """Check ``record`` against docs/schemas.md and decode it; result_to_record must give the record back."""
     found = problems(record, _RECORD_SHAPE)
     if found:
-        return describe(*found[0])
+        raise ReportError(describe(*found[0]))
     outcome = record["outcome"]
     needed = _OUTCOME_NEEDS[outcome]
     if record[needed] is None:
-        return f"{outcome} record has no {needed}"
+        raise ReportError(f"{outcome} record has no {needed}")
     for name in _OUTCOME_NEEDS.values():
         if name != needed and record[name] is not None:
-            return f"malformed result record: fields do not match kind {outcome}: it has a {name}"
-    unscored = record["overlap"] is None
-    if (record["recall"] is None) is not unscored or (record["iou"] is None) is not unscored:
-        return "malformed result record: overlap, recall and iou must be all set or all null"
-    return None
-
-
-def record_to_result(record: dict) -> tuple[RunResult, LocalizationSample | None]:
-    """Inverse of result_to_record, used by the report re-rendering path."""
+            raise ReportError(f"malformed result record: fields do not match kind {outcome}: it has a {name}")
+    box, failure_kind, overlap = record["box"], record["failure_kind"], record["overlap"]
+    if (record["recall"] is None) is not (overlap is None) or (record["iou"] is None) is not (overlap is None):
+        raise ReportError("malformed result record: overlap, recall and iou must be all set or all null")
+    failure_kind = None if failure_kind is None else FailureKind(failure_kind)
     try:
-        box, failure_kind = record["box"], record["failure_kind"]
-        failure_kind = None if failure_kind is None else FailureKind(failure_kind)
-        # ParsedDetection rejects fields that do not match the outcome
-        detection = None if record["outcome"] == "fault" else ParsedDetection(
-            kind=DetectionKind(record["outcome"]),
-            verdict=record["verdict"],
-            box=None if box is None else NormalizedBBox(*box, clamped=record["box_clamped"]),
-            failure_kind=failure_kind,
-            raw_excerpt=excerpt(record["raw_text"]),
-            coerced=record["coerced"],
-        )
-        result = RunResult(
-            scene_id=record["scene_id"],
-            prompt_id=record["prompt_id"],
-            run_idx=record["run_idx"],
-            detection=detection,
-            latency=record["latency"],
-            raw_text=record["raw_text"],
-            fault=record["fault"],
-        )
-        sample = None
-        if record["overlap"] is not None:
-            sample = LocalizationSample(
-                scene_id=record["scene_id"],
-                run_idx=record["run_idx"],
-                overlap=record["overlap"],
-                recall=record["recall"],
-                iou=record["iou"],
-                failure_kind=failure_kind,
-            )
-    except KeyError as e:
-        raise ReportError(f"result record missing field {e}") from None
-    except (TypeError, ValueError, NonFiniteInput) as e:
+        # a null box_clamped beside a box decodes as false and so fails the round trip
+        box = None if box is None else NormalizedBBox(*box, clamped=bool(record["box_clamped"]))
+    except (ValueError, OverflowError, NonFiniteInput) as e:
         raise ReportError(f"malformed result record: {e}") from e
+    detection = None if outcome == "fault" else ParsedDetection(
+        kind=DetectionKind(outcome), verdict=record["verdict"], box=box, failure_kind=failure_kind,
+        raw_excerpt=excerpt(record["raw_text"]), coerced=record["coerced"],
+    )
+    result = RunResult(
+        scene_id=record["scene_id"], prompt_id=record["prompt_id"], run_idx=record["run_idx"], detection=detection,
+        latency=record["latency"], raw_text=record["raw_text"], fault=record["fault"],
+    )
+    sample = None if overlap is None else LocalizationSample(
+        scene_id=result.scene_id, run_idx=result.run_idx, overlap=overlap, recall=record["recall"],
+        iou=record["iou"], failure_kind=failure_kind,
+    )
+    rebuilt = result_to_record(result, sample, record["label"], record["scene_lowlight"])
+    if rebuilt != record:  # other keys aside; identity first, as dict equality does, so a NaN latency round-trips
+        name = next((n for n, value in rebuilt.items() if value is not record[n] and value != record[n]), None)
+        if name is not None:
+            written, derived = COMPACT_JSON.encode(record[name]), COMPACT_JSON.encode(rebuilt[name])
+            raise ReportError(f"malformed result record: field {name!r} is {written}, the other fields give {derived}")
     return result, sample
 
 
@@ -513,15 +499,12 @@ def _read_lines(path: Path, decode: Callable[[str], object]) -> list:
     return decoded
 
 
-def _decode_record(line: str) -> dict:
+def _decode_record(line: str) -> _Row:
     try:
         record = json.loads(line)
     except json.JSONDecodeError as e:
         raise ReportError(f"invalid JSON ({e.msg})") from e
-    problem = _record_problem(record)
-    if problem is not None:
-        raise ReportError(problem)
-    return record
+    return (*record_to_result(record), record["label"], record["scene_lowlight"])
 
 
 def _decode_wire(line: str) -> tuple[V2VMessage, int]:
@@ -530,32 +513,46 @@ def _decode_wire(line: str) -> tuple[V2VMessage, int]:
     return decode_message(data), len(data)
 
 
-def _decode(records: list[dict]) -> tuple[tuple[RunResult, ...], tuple[LocalizationSample, ...]]:
-    """Results and samples of ``records``, in the order the experiments produce them."""
-    decoded = [record_to_result(record) for record in records]
-    results = sorted((r for r, _ in decoded), key=lambda r: (r.scene_id, r.prompt_id, r.run_idx))
-    samples = sorted((s for _, s in decoded if s is not None), key=lambda s: (s.scene_id, s.run_idx))
+def _decode(rows: list[_Row]) -> tuple[tuple[RunResult, ...], tuple[LocalizationSample, ...]]:
+    """Results and samples of ``rows``, in the order the experiments produce them."""
+    results = sorted((row[0] for row in rows), key=lambda r: (r.scene_id, r.prompt_id, r.run_idx))
+    samples = sorted((row[1] for row in rows if row[1] is not None), key=lambda s: (s.scene_id, s.run_idx))
     return tuple(results), tuple(samples)
 
 
-def rebuild_binary(records: list[dict]) -> BinaryExperimentResult:
-    """Reconstruct a binary experiment from its emitted records."""
-    results, _ = _decode(records)
-    labels = {r["scene_id"]: r["label"] for r in records if r["label"] is not None}
+def _scene_facts(rows: list[_Row], name: str, facts: dict[str, tuple]) -> dict[str, tuple]:
+    """``facts`` plus the (label, scene_lowlight) of each scene of ``rows``, which all its records must share."""
+    for result, _, label, lowlight in rows:
+        known = facts.setdefault(result.scene_id, (label, lowlight))
+        if known != (label, lowlight):
+            field = "label" if known[0] is not label else "scene_lowlight"
+            raise ReportError(f"{name}: the records of scene {result.scene_id!r} disagree on {field}")
+    return facts
+
+
+def rebuild_binary(rows: list[_Row]) -> BinaryExperimentResult:
+    """Reconstruct a binary experiment from the decoded rows of its records: labelled, without samples."""
+    results, samples = _decode(rows)
+    if samples:
+        raise ReportError(f"{_BINARY_RECORDS}: scene {samples[0].scene_id!r} has overlap, recall and iou")
+    labels = sorted((scene_id, label) for scene_id, (label, _) in _scene_facts(rows, _BINARY_RECORDS, {}).items())
+    unlabelled = [scene_id for scene_id, label in labels if label is None]
+    if unlabelled:
+        raise ReportError(f"{_BINARY_RECORDS}: scene {unlabelled[0]!r} has no label")
     n_runs = max(r.run_idx for r in results) + 1
-    return binary_result(results, sorted(labels.items()), n_runs)
+    return binary_result(results, labels, n_runs)
 
 
-def rebuild_localization(records: list[dict]) -> LocalizationExperimentResult:
-    """Reconstruct a localization experiment from its emitted records."""
-    return localization_result(*_decode(records))
+def rebuild_localization(rows: list[_Row]) -> LocalizationExperimentResult:
+    """Reconstruct a localization experiment from the decoded rows of its records."""
+    return localization_result(*_decode(rows))
 
 
-def rebuild_comparison(records: list[dict]) -> PromptComparison:
-    """Reconstruct a prompt comparison from its merged records."""
-    by_prompt: dict[str, list[dict]] = {}
-    for record in records:
-        by_prompt.setdefault(record["prompt_id"], []).append(record)
+def rebuild_comparison(rows: list[_Row]) -> PromptComparison:
+    """Reconstruct a prompt comparison from the decoded rows of its merged records."""
+    by_prompt: dict[str, list[_Row]] = {}
+    for row in rows:
+        by_prompt.setdefault(row[0].prompt_id, []).append(row)
     prompt_ids = tuple(sorted(by_prompt))
     return PromptComparison(
         prompt_ids=prompt_ids,
@@ -586,14 +583,14 @@ def rebuild_transcript(transcript_path: Path, link_path: Path) -> DialogueTransc
         raise ReportError(f"cannot rebuild the transcript in {transcript_path.parent}: {e}") from e
 
 
-def _check_runs(records: list[dict], part: str, name: str) -> None:
+def _check_runs(rows: list[_Row], part: str, name: str) -> None:
     """Reject an empty records file, a repeated (scene, prompt, run) or a prompt's runs not numbered 0..n-1."""
-    if not records:
+    if not rows:
         raise ReportError(f"no {part} result records in {name}")
     keys: set[tuple[str, str, int]] = set()
     runs: dict[str, set[int]] = {}
-    for record in records:
-        key = scene_id, prompt_id, run_idx = record["scene_id"], record["prompt_id"], record["run_idx"]
+    for result, _, _, _ in rows:
+        key = scene_id, prompt_id, run_idx = result.scene_id, result.prompt_id, result.run_idx
         if key in keys:
             raise ReportError(f"{name}: prompt {prompt_id} has two records of scene {scene_id!r} run {run_idx}")
         keys.add(key)
@@ -622,8 +619,7 @@ def rerender(in_dir: str | Path, targets) -> list[Path]:
     if not in_path.is_dir():
         raise ReportError(f"input directory not found: {in_path}")
     bundle_kwargs: dict = {}
-    labels: dict[str, bool] = {}
-    lowlight: dict[str, bool] = {}
+    facts: dict[str, tuple] = {}
     all_results: list[RunResult] = []
 
     # built per call so the rebuild functions are looked up when they run
@@ -636,16 +632,12 @@ def rerender(in_dir: str | Path, targets) -> list[Path]:
         path = in_path / name
         if not path.is_file():
             continue
-        records = _read_lines(path, _decode_record)
-        _check_runs(records, part, name)
-        outcome = rebuild(records)
+        rows = _read_lines(path, _decode_record)
+        _check_runs(rows, part, name)
+        _scene_facts(rows, name, facts)
+        outcome = rebuild(rows)
         bundle_kwargs[part] = outcome
         all_results.extend(outcome.results)
-        for r in records:
-            if r["label"] is not None:
-                labels[r["scene_id"]] = r["label"]
-            if r["scene_lowlight"] is not None:
-                lowlight[r["scene_id"]] = r["scene_lowlight"]
 
     transcript_path = in_path / _TRANSCRIPT_FILE
     if transcript_path.is_file():
@@ -653,10 +645,9 @@ def rerender(in_dir: str | Path, targets) -> list[Path]:
 
     if not bundle_kwargs:
         raise ReportError(f"no recognized result files in {in_path}")
-    if all_results:
-        bundle_kwargs.update(
-            labels=labels, lowlight=lowlight, consistency=consistency_or_none(all_results)
-        )
+    labels = {scene_id: label for scene_id, (label, _) in facts.items() if label is not None}
+    lowlight = {scene_id: tag for scene_id, (_, tag) in facts.items() if tag is not None}
+    bundle_kwargs.update(labels=labels, lowlight=lowlight, consistency=consistency_or_none(all_results))
     if "localization" in bundle_kwargs:
         bundle_kwargs["lowlight_share"] = failure_lowlight_share(
             bundle_kwargs["localization"].results, lowlight

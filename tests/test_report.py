@@ -698,3 +698,112 @@ def test_report_over_a_record_with_another_documented_value_exits_0_or_2(record_
         code = main(["report", "--in", str(out)])
     assert code in (EXIT_OK, EXIT_DATA), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+def _records_of(out: Path, name: str) -> list[dict]:
+    return [json.loads(line) for line in (out / name).read_text(encoding="utf-8").splitlines()]
+
+
+@pytest.mark.parametrize(
+    "name, field",
+    [("binary_results.jsonl", "label"), ("localization_results.jsonl", "scene_lowlight")],
+)
+def test_records_of_one_scene_that_disagree_on_a_scene_fact_exit_2_and_write_nothing(
+    record_dirs, tmp_path, capsys, name, field
+):
+    # used to exit 0 and rewrite every record of the scene to one value
+    out = tmp_path / "out"
+    shutil.copytree(record_dirs[name], out)
+    records = _records_of(out, name)
+    assert records[0]["scene_id"] == records[1]["scene_id"]
+    _rewrite(out, name, lambda records: records[1].update({field: not records[1][field]}))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main(["report", "--in", str(out)]) == EXIT_DATA
+    scene_id = records[1]["scene_id"]
+    assert capsys.readouterr().err == f"fovlink: {name}: the records of scene {scene_id!r} disagree on {field}\n"
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_a_binary_scene_without_a_label_names_the_file(record_dirs, tmp_path, capsys):
+    # used to print only "prediction for unknown scene_id"
+    out = tmp_path / "out"
+    name = "binary_results.jsonl"
+    shutil.copytree(record_dirs[name], out)
+    scene_id = _records_of(out, name)[0]["scene_id"]
+    _rewrite(out, name, lambda records: [r.update(label=None) for r in records if r["scene_id"] == scene_id])
+    assert main(["report", "--in", str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err == f"fovlink: {name}: scene {scene_id!r} has no label\n"
+
+
+@pytest.mark.parametrize(
+    "name, outcome, field, value",
+    [
+        ("localization_results.jsonl", "located", "box_degenerate", True),
+        ("comparison_results.jsonl", "failure", "box_clamped", True),
+        ("localization_results.jsonl", "located", "box_clamped", None),
+        ("binary_results.jsonl", "fault", "coerced", True),
+    ],
+    ids=["flipped-box-degenerate", "box-clamped-without-box", "box-without-box-clamped", "coerced-fault"],
+)
+def test_a_field_that_the_other_fields_determine_must_agree_with_them(
+    record_dirs, tmp_path, capsys, name, outcome, field, value
+):
+    # each used to exit 0 and rewrite the value from the other fields
+    out = tmp_path / "out"
+    shutil.copytree(record_dirs[name], out)
+    index = next(i for i, r in enumerate(_records_of(out, name)) if r["outcome"] == outcome)
+    _rewrite(out, name, lambda records: records[index].update({field: value}))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main(["report", "--in", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{name} line {index + 1}: malformed result record: field {field!r} is {json.dumps(value)}" in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_a_binary_record_with_a_sample_exits_2(record_dirs, tmp_path, capsys):
+    # used to exit 0 and rewrite overlap, recall and iou as null
+    out = tmp_path / "out"
+    name = "binary_results.jsonl"
+    shutil.copytree(record_dirs[name], out)
+    scene_id = _records_of(out, name)[0]["scene_id"]
+    _rewrite(out, name, lambda records: records[0].update(overlap=True, recall=0.5, iou=0.25))
+    assert main(["report", "--in", str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err == f"fovlink: {name}: scene {scene_id!r} has overlap, recall and iou\n"
+
+
+def test_a_box_coordinate_too_large_for_a_float_exits_2(record_dirs, tmp_path, capsys):
+    # used to end in an OverflowError traceback
+    out = tmp_path / "out"
+    name = "localization_results.jsonl"
+    shutil.copytree(record_dirs[name], out)
+    index = next(i for i, r in enumerate(_records_of(out, name)) if r["outcome"] == "located")
+    _rewrite(out, name, lambda records: records[index]["box"].__setitem__(2, 10**400))
+    assert main(["report", "--in", str(out)]) == EXIT_DATA
+    assert f"{name} line {index + 1}: malformed result record: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [{"note": "kept out"}, {"note": "kept out", "latency": float("nan")}])
+def test_a_record_with_an_unknown_key_rerenders(record_dirs, tmp_path, extra):
+    out = tmp_path / "out"
+    name = "comparison_results.jsonl"
+    shutil.copytree(record_dirs[name], out)
+    _rewrite(out, name, lambda records: records[0].update(extra))
+    before = {p.name: p.read_bytes() for p in out.iterdir() if p.name != name}
+    assert main(["report", "--in", str(out)]) == EXIT_OK
+    assert {p.name: p.read_bytes() for p in out.iterdir() if p.name != name} == before
+    assert "note" not in (out / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"outcome": "fault", "fault": None},
+        {"outcome": "failure", "failure_kind": "PartialCoordinates", "overlap": False, "recall": 0.0},
+    ],
+    ids=["fault-without-fault", "sample-without-iou"],
+)
+def test_record_to_result_checks_the_record(fields):
+    record = {**dict.fromkeys(RESULT_RECORD_FIELDS), "scene_id": "s", "prompt_id": "P1", "run_idx": 0}
+    record.update(coerced=False, latency=0.0, raw_text="", **fields)
+    with pytest.raises(ReportError):
+        record_to_result(record)
