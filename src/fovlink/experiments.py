@@ -12,8 +12,9 @@ is not simulated looks at the pixels, so only it reads the frame, once
 per task: experiment 3 reads each positive once for all its prompts, and
 a simulated backend reads no frame at all. For a backend that waits on
 the network, tasks run on a pool of ``parallelism`` threads, holding one
-frame per worker; a simulated backend never waits, so its tasks run on
-the calling thread whatever the parallelism. Each prompt's results
+frame per worker, and only such a run imports ``concurrent.futures``; a
+simulated backend never waits, so its tasks run on the calling thread
+whatever the parallelism. Each prompt's results
 are sorted by (scene_id, prompt_id, run_idx) so output never depends on
 completion order. Per-scene gateway faults become recorded fault
 results; a run aborts only when every scene failed for a prompt, or for
@@ -22,7 +23,6 @@ one run of experiment 1.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 
@@ -206,6 +206,8 @@ def _dispatch(
     if config.parallelism == 1 or gateway.backend.simulated:
         per_scene = [query_scene(scene) for scene in scenes]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
             per_scene = list(pool.map(query_scene, scenes))
     by_prompt: dict[str, list[RunResult]] = {prompt.prompt_id: [] for prompt in prompts}

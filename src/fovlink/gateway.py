@@ -14,17 +14,19 @@ resizing; a transformation here would be an undocumented confound. A
 backend marked ``simulated`` answers by query key and never looks at the
 pixels, so the experiments hand it an unread ``dataset.Frame``, opened
 once per scene, instead of the frame's bytes.
+
+The HTTP stack (``http.client``, ``urllib``, and the ``email`` and ``ssl``
+modules they pull in) is imported by the first live request, not at
+import or when a ``LiveBackend`` is built: a mock run, a re-render and
+the set-up of a live run never load it.
 """
 
 from __future__ import annotations
 
 import base64
-import http.client
 import json
 import os
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -216,6 +218,12 @@ class LiveBackend:
         self.backend_id = f"live:{self.base_url}"
 
     def complete(self, image: bytes, prompt: str, params: QueryParams, key: QueryKey | None) -> str:
+        # imported here, on the first request, so that neither a simulated run
+        # nor building this backend pays for loading the HTTP stack
+        import http.client
+        import urllib.error
+        import urllib.request
+
         body = json.dumps(build_chat_request(image, prompt, params)).encode("utf-8")
         request = urllib.request.Request(
             f"{self.base_url}/chat/completions",

@@ -9,7 +9,6 @@ prompt variants compared in the prompt study.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from enum import Enum
 
@@ -32,6 +31,8 @@ class PromptSpec:
     expected_format: ExpectedFormat
 
     def digest(self) -> str:
+        import hashlib
+
         return hashlib.sha256(self.text.encode("utf-8")).hexdigest()
 
 

@@ -9,16 +9,19 @@ no plotting dependency.
 Each CSV header row starts with a versioned schema tag naming the label
 column; the column set behind a tag is closed, any added column bumps
 the version. Exact field names are documented in docs/schemas.md.
+
+Re-rendering checks each result record on its own (``record_to_result``)
+and then each records file as a whole (``_check_runs``). ``statistics``
+is imported by the box-plot quartiles and ``logging`` by the empty-bundle
+warning, so a process that needs neither loads neither.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from statistics import quantiles
 from typing import Callable
 
 from .errors import FovlinkError
@@ -46,8 +49,6 @@ from .stats import (  # noqa: F401
 )
 from .shape import COMPACT_JSON, FOUR_NUMBERS, NON_NEGATIVE_INT, NULL, NUMBER, Fields, Nullable, Rule, describe, problems
 from .v2v import DialogueTranscript, LinkModel, V2VMessage, decode_message, encode_message
-
-log = logging.getLogger(__name__)
 
 RENDER_TARGETS = ("csv", "records", "svg")
 
@@ -301,6 +302,8 @@ def _five_numbers(values: list[float]) -> tuple[float, float, float, float, floa
     if len(ordered) == 1:
         v = ordered[0]
         return v, v, v, v, v
+    from statistics import quantiles
+
     q1, median, q3 = quantiles(ordered, n=4, method="inclusive")
     return ordered[0], q1, median, q3, ordered[-1]
 
@@ -483,7 +486,9 @@ def emit_report(bundle: ReportBundle, targets, out_dir: str | Path) -> list[Path
             path.write_text(render(), encoding="utf-8", newline="")
             written.append(path)
     if not written:
-        log.warning("emit_report: empty bundle, nothing rendered")
+        import logging
+
+        logging.getLogger(__name__).warning("emit_report: empty bundle, nothing rendered")
     return sorted(written)
 
 
@@ -531,10 +536,8 @@ def _scene_facts(rows: list[_Row], name: str, facts: dict[str, tuple]) -> dict[s
 
 
 def rebuild_binary(rows: list[_Row]) -> BinaryExperimentResult:
-    """Reconstruct a binary experiment from the decoded rows of its records: labelled, without samples."""
-    results, samples = _decode(rows)
-    if samples:
-        raise ReportError(f"{_BINARY_RECORDS}: scene {samples[0].scene_id!r} has overlap, recall and iou")
+    """Reconstruct a binary experiment from the decoded rows of its records, which must be labelled."""
+    results, _ = _decode(rows)
     labels = sorted((scene_id, label) for scene_id, (label, _) in _scene_facts(rows, _BINARY_RECORDS, {}).items())
     unlabelled = [scene_id for scene_id, label in labels if label is None]
     if unlabelled:
@@ -583,18 +586,49 @@ def rebuild_transcript(transcript_path: Path, link_path: Path) -> DialogueTransc
         raise ReportError(f"cannot rebuild the transcript in {transcript_path.parent}: {e}") from e
 
 
+def _sample_problem(result: RunResult, sample: LocalizationSample | None) -> str | None:
+    """What is wrong with the sample of a localization or comparison record, if anything.
+
+    Located and failure records are scored, and a failure only ever scores
+    false, 0 and 0; fault and verdict records are not scored.
+    """
+    detection = result.detection
+    if detection is None or detection.kind is DetectionKind.VERDICT:
+        return None if sample is None else "with overlap, recall and iou"
+    if sample is None:
+        return "without overlap, recall and iou"
+    if detection.kind is DetectionKind.FAILURE and (sample.overlap, sample.recall, sample.iou) != (False, 0, 0):
+        return "whose overlap, recall and iou are not false, 0 and 0"
+    return None
+
+
 def _check_runs(rows: list[_Row], part: str, name: str) -> None:
-    """Reject an empty records file, a repeated (scene, prompt, run) or a prompt's runs not numbered 0..n-1."""
+    """Reject what no single record shows.
+
+    That is an empty file, a repeated (scene, prompt, run), a prompt's runs
+    not numbered 0..n-1, a binary file of more than one prompt, and a sample
+    on a record the file's experiment does not score, or none on one it does.
+    """
     if not rows:
         raise ReportError(f"no {part} result records in {name}")
+    scored = part != "binary"
     keys: set[tuple[str, str, int]] = set()
     runs: dict[str, set[int]] = {}
-    for result, _, _, _ in rows:
+    for result, sample, _, _ in rows:
         key = scene_id, prompt_id, run_idx = result.scene_id, result.prompt_id, result.run_idx
         if key in keys:
             raise ReportError(f"{name}: prompt {prompt_id} has two records of scene {scene_id!r} run {run_idx}")
         keys.add(key)
         runs.setdefault(prompt_id, set()).add(run_idx)
+        if not scored:
+            if sample is not None:
+                raise ReportError(f"{name}: scene {scene_id!r} has overlap, recall and iou")
+        elif (problem := _sample_problem(result, sample)) is not None:
+            kind = "fault" if result.detection is None else result.detection.kind.value
+            where = f"scene {scene_id!r} run {run_idx}"
+            raise ReportError(f"{name}: prompt {prompt_id} has a {kind} record of {where} {problem}")
+    if not scored and len(runs) > 1:
+        raise ReportError(f"{name}: records of more than one prompt: {', '.join(sorted(runs))}")
     for prompt_id, found in sorted(runs.items()):
         if len(found) != max(found) + 1:
             missing = next(run for run in range(len(found)) if run not in found)

@@ -807,3 +807,54 @@ def test_record_to_result_checks_the_record(fields):
     record.update(coerced=False, latency=0.0, raw_text="", **fields)
     with pytest.raises(ReportError):
         record_to_result(record)
+
+
+_NO_SAMPLE = {"overlap": None, "recall": None, "iou": None}
+
+
+@pytest.mark.parametrize(
+    "name, outcome, sample, problem",
+    [
+        ("localization_results.jsonl", "located", _NO_SAMPLE, "without overlap, recall and iou"),
+        ("comparison_results.jsonl", "failure", _NO_SAMPLE, "without overlap, recall and iou"),
+        (
+            "localization_results.jsonl", "fault", {"overlap": False, "recall": 0, "iou": 0},
+            "with overlap, recall and iou",
+        ),
+        (
+            "comparison_results.jsonl", "failure", {"overlap": True, "recall": 0.5, "iou": 0.25},
+            "whose overlap, recall and iou are not false, 0 and 0",
+        ),
+    ],
+    ids=["located-without-sample", "failure-without-sample", "fault-with-sample", "failure-with-a-score"],
+)
+def test_a_localization_record_carries_a_sample_exactly_when_it_is_scored(
+    record_dirs, tmp_path, capsys, name, outcome, sample, problem
+):
+    # each used to exit 0 and rewrite the summary: a fault given false, 0 and 0
+    # counted as one more test, a located record without a sample as one fewer
+    out = tmp_path / "out"
+    shutil.copytree(record_dirs[name], out)
+    records = _records_of(out, name)
+    index = next(i for i, r in enumerate(records) if r["outcome"] == outcome)
+    _rewrite(out, name, lambda records: records[index].update(sample))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main(["report", "--in", str(out)]) == EXIT_DATA
+    record = records[index]
+    where = f"scene {record['scene_id']!r} run {record['run_idx']}"
+    expected = f"fovlink: {name}: prompt {record['prompt_id']} has a {outcome} record of {where} {problem}\n"
+    assert capsys.readouterr().err == expected
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_a_binary_records_file_of_two_prompts_exits_2_and_writes_nothing(record_dirs, tmp_path, capsys):
+    # the BIN and BIN_REFINED files of one run concatenated used to fail with only
+    # "scene_id 'neg_a' predicted twice", naming neither the file nor the prompts
+    out = tmp_path / "out"
+    name = "binary_results.jsonl"
+    shutil.copytree(record_dirs[name], out)
+    _rewrite(out, name, lambda records: records.extend([{**r, "prompt_id": "BIN_REFINED"} for r in records]))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main(["report", "--in", str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err == f"fovlink: {name}: records of more than one prompt: BIN, BIN_REFINED\n"
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
