@@ -18,7 +18,9 @@ import errno
 import json
 import os
 import stat
+from base64 import b64encode
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .errors import FovlinkError
@@ -118,12 +120,23 @@ class SceneRecord:
         return None
 
 
+class FrameBytes(bytes):
+    """A frame's bytes, which ``base64`` encodes on its first use only."""
+
+    @cached_property
+    def base64(self) -> bytes:
+        return b64encode(self)
+
+
 class Frame:
-    """One scene's camera frame: opened once for its size, read at most once.
+    """One scene's camera frame: opened once for its size, read and encoded at most once.
 
     Opening raises what a read would for a missing or unreadable file (the
     same ``OSError``) and ``EmptyFrame`` for a file with no bytes, without
     reading it, so a backend that never looks at the pixels costs no read.
+    The bytes ``read`` returns carry their own base64 encoding, made on the
+    first request that needs it, so every query about the frame, and every
+    retry of one, sends the same encoded bytes.
     """
 
     __slots__ = ("path", "size", "_data")
@@ -140,12 +153,12 @@ class Frame:
             raise EmptyFrame(f"scene {scene.scene_id!r}: frame {scene.image_path} is empty")
         self.path = scene.image_path
         self.size = info.st_size
-        self._data: bytes | None = None
+        self._data: FrameBytes | None = None
 
-    def read(self) -> bytes:
+    def read(self) -> FrameBytes:
         """The frame's bytes, read on the first call."""
         if self._data is None:
-            self._data = self.path.read_bytes()
+            self._data = FrameBytes(self.path.read_bytes())
         return self._data
 
 

@@ -143,7 +143,8 @@ def query_detection(
 
     The one query → detection step shared by the experiments and the V2V
     dialogue. A simulated backend answers by key without looking at the
-    pixels, so it gets the unread frame; any other backend gets its bytes.
+    pixels, so it gets the unread frame; any other backend gets its bytes,
+    which carry their base64 encoding once the live backend has made it.
     A gateway fault becomes a recorded fault result; an unscripted mock
     key is a harness bug and propagates.
     """

@@ -13,7 +13,13 @@ happen with live models). Images travel as base64 data URIs without any
 resizing; a transformation here would be an undocumented confound. A
 backend marked ``simulated`` answers by query key and never looks at the
 pixels, so the experiments hand it an unread ``dataset.Frame``, opened
-once per scene, instead of the frame's bytes.
+once per scene, instead of the frame's bytes. Any other backend gets the
+bytes ``Frame.read`` returns, so a frame is read and encoded at most once
+per scene task: those bytes carry their base64 encoding, made by the
+first live request about them. The live backend splices the encoding
+into the JSON of the request built with an empty image, so every prompt,
+run and retry about a frame reuses one encoding, and the body is byte
+for byte ``json.dumps(build_chat_request(...))``.
 
 The HTTP stack (``http.client``, ``urllib``, and the ``email`` and ``ssl``
 modules they pull in) is imported by the first live request, not at
@@ -31,7 +37,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from .dataset import FrameBytes
 from .errors import FovlinkError
+from .shape import utf8_encodable
 
 if TYPE_CHECKING:
     from .dataset import Frame
@@ -128,6 +136,8 @@ def load_mock_fixture(path: str | Path) -> dict[str, dict]:
             )
         if "text" in entry and not isinstance(entry["text"], str):
             raise MalformedBackendReply(f"fixture entry {key!r} has non-string text")
+        if "text" in entry and not utf8_encodable(entry["text"]):
+            raise MalformedBackendReply(f"fixture entry {key!r} has text with a lone surrogate")
         if "fault" in entry and entry["fault"] not in FAULT_KINDS:
             raise MalformedBackendReply(
                 f"fixture entry {key!r} has unknown fault {entry['fault']!r}"
@@ -167,6 +177,10 @@ class MockBackend:
         return entry["text"]
 
 
+# where the encoded image ends in the JSON of a chat request
+_IMAGE_URL_END = b';base64,"'
+
+
 def build_chat_request(image: bytes, prompt: str, params: QueryParams) -> dict:
     """Request body for POST <base_url>/chat/completions.
 
@@ -197,10 +211,12 @@ def parse_chat_reply(body: bytes) -> str:
     try:
         data = json.loads(body)
         content = data["choices"][0]["message"]["content"]
-    except (json.JSONDecodeError, KeyError, IndexError, TypeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, IndexError, TypeError) as e:
         raise MalformedBackendReply(f"unexpected completion payload: {e}") from e
     if not isinstance(content, str):
         raise MalformedBackendReply("completion content is not text")
+    if not utf8_encodable(content):
+        raise MalformedBackendReply("completion content holds a lone surrogate")
     return content
 
 
@@ -224,7 +240,13 @@ class LiveBackend:
         import urllib.error
         import urllib.request
 
-        body = json.dumps(build_chat_request(image, prompt, params)).encode("utf-8")
+        # the bytes of a Frame carry their encoding, made by their first request
+        encoded = image.base64 if isinstance(image, FrameBytes) else base64.b64encode(image)
+        # base64 needs no JSON escaping and no caller text follows the image
+        # URL, so the body is the request's JSON with the encoding spliced in
+        template = json.dumps(build_chat_request(b"", prompt, params)).encode("utf-8")
+        cut = template.rindex(_IMAGE_URL_END) + len(_IMAGE_URL_END) - 1
+        body = b"".join((template[:cut], encoded, template[cut:]))
         request = urllib.request.Request(
             f"{self.base_url}/chat/completions",
             data=body,
@@ -279,6 +301,8 @@ class Gateway:
 
         ``image`` is the frame's bytes; a simulated backend may be given
         the unread ``Frame`` instead, since it never looks at the pixels.
+        The live backend encodes the bytes ``Frame.read`` returns once for
+        all the queries and retries about the frame.
 
         Retries only _BackendFault signals (transport, timeout, rate
         limit), up to params.max_retries extra attempts with exponential

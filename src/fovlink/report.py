@@ -47,7 +47,7 @@ from .stats import (  # noqa: F401
     derive_detection_stats,
     summarize_localization,
 )
-from .shape import COMPACT_JSON, FOUR_NUMBERS, NON_NEGATIVE_INT, NULL, NUMBER, Fields, Nullable, Rule, describe, problems
+from .shape import COMPACT_JSON, FOUR_NUMBERS, NON_NEGATIVE_INT, NULL, NUMBER, Fields, Nullable, Rule, describe, problems, utf8_encodable
 from .v2v import DialogueTranscript, LinkModel, V2VMessage, decode_message, encode_message
 
 RENDER_TARGETS = ("csv", "records", "svg")
@@ -84,6 +84,8 @@ _RECORD_SHAPE = Fields(
 )
 
 RESULT_RECORD_FIELDS = tuple(_RECORD_SHAPE.fields)
+# the record's strings, which the report writes back as UTF-8
+_TEXT_FIELDS = ("scene_id", "prompt_id", "fault", "raw_text")
 
 # v2v_link.json, the link next to a stored transcript
 _LINK_SHAPE = Fields({"rate_bps": NUMBER, "overhead": NUMBER, "stream_bytes": NON_NEGATIVE_INT})
@@ -180,6 +182,9 @@ def record_to_result(record) -> tuple[RunResult, LocalizationSample | None]:
     found = problems(record, _RECORD_SHAPE)
     if found:
         raise ReportError(describe(*found[0]))
+    for name in _TEXT_FIELDS:
+        if record[name] is not None and not utf8_encodable(record[name]):
+            raise ReportError(describe(name, "holds a lone surrogate"))
     outcome = record["outcome"]
     needed = _OUTCOME_NEEDS[outcome]
     if record[needed] is None:

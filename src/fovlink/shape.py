@@ -59,6 +59,18 @@ class Rule:
         self.test = test
 
 
+def utf8_encodable(text: str) -> bool:
+    """Whether UTF-8 can encode ``text``; a lone surrogate, which the JSON
+    escape ``"\\ud800"`` decodes to, cannot be."""
+    if text.isascii():
+        return True
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 NON_EMPTY_STR = Rule("must be a non-empty string", lambda v: type(v) is str and v != "")
 NON_NEGATIVE_INT = Rule("must be a non-negative integer", lambda v: type(v) is int and v >= 0)
 FOUR_NUMBERS = Rule(

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import fovlink
 from fovlink.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from fovlink.dataset import load_manifest
+from fovlink.dataset import Frame, load_manifest
 
 from conftest import (
     LoopbackServer,
@@ -561,3 +561,71 @@ def test_run_subcommands_print_exactly_these_lines(workspace, capsys):
         captured = capsys.readouterr()
         assert captured.err == ""
         assert captured.out.splitlines() == summary + [f"wrote {target / name}" for name in files]
+
+
+class TestRepliesUTF8CannotHold:
+    """Reply text that is not UTF-8, or holds a lone surrogate, is stopped where it enters, never at the writer."""
+
+    def test_non_utf8_live_reply_is_backend_error(self, workspace, monkeypatch, capsys):
+        # used to escape as a UnicodeDecodeError traceback
+        tmp_path, manifest, _ = workspace
+        reply = http_reply(b'{"choices": [{"message": {"content": "\xff"}}]}')
+        with LoopbackServer(lambda body: reply) as server:
+            monkeypatch.setenv("FOVLINK_BASE_URL", server.url)
+            code = run_cli(
+                "exp1", "--backend", "live", "--manifest", manifest, "--runs", 1,
+                "--out", tmp_path / "out",
+            )
+        assert code == EXIT_BACKEND
+        assert "backend failure" in capsys.readouterr().err
+
+    def test_live_reply_with_a_lone_surrogate_is_a_recorded_fault(self, workspace, monkeypatch):
+        # used to crash the report writer with a UnicodeEncodeError
+        tmp_path, manifest, _ = workspace
+        marker = base64.b64encode(b"pos_b" * 16)
+
+        def respond(body: bytes) -> bytes:
+            return completion_reply("yes \ud800" if marker in body else "yes")
+
+        out = tmp_path / "out"
+        with LoopbackServer(respond) as server:
+            monkeypatch.setenv("FOVLINK_BASE_URL", server.url)
+            code = run_cli("exp1", "--backend", "live", "--manifest", manifest, "--runs", 1, "--out", out)
+        assert code == EXIT_OK
+        records = [json.loads(line) for line in (out / "binary_results.jsonl").read_text().splitlines()]
+        faults = {r["scene_id"]: r["fault"] for r in records if r["outcome"] == "fault"}
+        assert list(faults) == ["pos_b"]
+        assert faults["pos_b"].startswith("MalformedBackendReply: completion content holds a lone surrogate")
+        assert run_cli("report", "--in", out) == EXIT_OK
+
+    def test_fixture_text_with_a_lone_surrogate_is_data_error(self, workspace, capsys):
+        tmp_path, manifest, scenes = workspace
+        script = binary_script(scenes)
+        script[script_key("pos_a", "BIN", 0)] = {"text": "yes \ud800"}
+        fixture = write_fixture(tmp_path, script)
+        code = run_cli("exp1", "--manifest", manifest, "--fixture", fixture, "--runs", 1, "--out", tmp_path / "out")
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "fovlink: fixture error: fixture entry 'pos_a|BIN|0' has text with a lone surrogate\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+
+def test_a_live_frame_that_vanishes_after_it_was_opened_is_io_error(workspace, monkeypatch, capsys):
+    # read before any request, so it is never taken for a retried transport fault
+    tmp_path, manifest, scenes = workspace
+    read = Frame.read
+
+    def vanish_then_read(frame):
+        frame.path.unlink(missing_ok=True)
+        return read(frame)
+
+    monkeypatch.setattr(Frame, "read", vanish_then_read)
+    with LoopbackServer(lambda body: completion_reply("no")) as server:
+        monkeypatch.setenv("FOVLINK_BASE_URL", server.url)
+        code = run_cli("exp1", "--backend", "live", "--manifest", manifest, "--runs", 1, "--out", tmp_path / "out")
+    assert code == EXIT_DATA
+    frame = scenes.by_id["pos_a"].image_path
+    assert capsys.readouterr().err == f"fovlink: i/o error: [Errno 2] No such file or directory: '{frame}'\n"
+    assert server.connections == 0
+    assert not (tmp_path / "out").exists()

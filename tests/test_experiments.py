@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import threading
 from collections import Counter
 from dataclasses import replace
@@ -22,11 +23,12 @@ from fovlink.experiments import (
     run_localization_experiment,
     run_prompt_comparison,
 )
-from fovlink.gateway import Gateway, MockBackend, QueryParams
+from fovlink.gateway import Gateway, LiveBackend, MockBackend, QueryParams, build_chat_request
 from fovlink.parsing import FailureKind
+from fovlink.prompts import get_prompt
 from fovlink.report import ReportBundle, emit_report
 
-from conftest import scene_line, script_key, write_manifest
+from conftest import LoopbackServer, completion_reply, http_reply, scene_line, script_key, write_manifest
 
 CONFIG_1RUN = ExperimentConfig(runs_per_prompt=1, params=QueryParams(backoff_base=0.0))
 
@@ -554,3 +556,33 @@ class TestThreadPool:
         )
         assert set(backend.threads) == {threading.get_ident()}
         assert len(backend.threads) == len(comparison.results) == 3 * 3 * len(scenes.positives)
+
+
+def test_a_live_scene_task_reads_and_encodes_its_frame_once(tmp_path, frame_reads, monkeypatch):
+    """Two prompts x three runs, and a retry, send the bytes of one read and one encoding."""
+    import fovlink.dataset
+
+    encodes = []
+    b64encode = fovlink.dataset.b64encode
+    monkeypatch.setattr(fovlink.dataset, "b64encode", lambda data: encodes.append(1) or b64encode(data))
+    scenes = load_manifest(write_manifest(tmp_path, [scene_line("pos_a", positive=True)]))
+    image = scenes.by_id["pos_a"].image_path.read_bytes()
+    frame_reads.clear()
+    bodies = []
+
+    def respond(body: bytes) -> bytes:
+        bodies.append(body)
+        return http_reply(b'{"error": "busy"}', status=503) if len(bodies) == 1 else completion_reply(GT_TEMPLATE)
+
+    with LoopbackServer(respond) as server:
+        gateway = Gateway(LiveBackend(base_url=server.url))
+        comparison = run_prompt_comparison(scenes, ("P1", "P2"), gateway, CONFIG_3RUNS)
+    assert frame_reads == Counter({"pos_a.jpg": 1})
+    assert len(encodes) == 1
+    assert [r.fault for r in comparison.results] == [None] * 6
+    expected = {
+        pid: json.dumps(build_chat_request(image, get_prompt(pid).text, CONFIG_3RUNS.params)).encode("utf-8")
+        for pid in ("P1", "P2")
+    }
+    # the 503 and its retry, then the two other runs of P1, then P2's three runs
+    assert bodies == [expected["P1"]] * 4 + [expected["P2"]] * 3

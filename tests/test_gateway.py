@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from fovlink.dataset import Frame, SceneRecord
 from fovlink.gateway import (
     LiveBackend,
     Gateway,
@@ -300,3 +301,76 @@ class TestQueryParams:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             QueryParams(**kwargs)
+
+
+# text that JSON escapes, text it writes as \uXXXX, and the image URL's own prefix
+_WIRE_PROMPTS = [
+    'Answer only either "yes" or "no".',
+    "back\\slash, a\nnew line and a\ttab",
+    "non-ASCII: Fußgänger, 歩行者, \U0001F6B6",
+    "a line\u2028separator",
+    'data:image/jpeg;base64," and after it',
+    "ends with data:image/jpeg;base64,",
+]
+
+
+class TestSplicedBody:
+    """The live body splices the encoded frame into the request's JSON; its bytes are json.dumps's."""
+
+    @pytest.mark.parametrize("length", [300, 301, 302], ids=["len%3=0", "len%3=1", "len%3=2"])
+    @pytest.mark.parametrize("prompt", _WIRE_PROMPTS)
+    def test_body_is_the_json_of_the_request(self, monkeypatch, tmp_path, prompt, length):
+        image = (bytes(range(256)) * 2)[:length]
+        params = QueryParams(model_name='a "quoted" model;base64,"', max_tokens=17, temperature=0.25)
+        expected = json.dumps(build_chat_request(image, prompt, params)).encode("utf-8")
+        path = tmp_path / "frame.jpg"
+        path.write_bytes(image)
+        frame = Frame(SceneRecord("s", path, 1, 1, has_pedestrian=False, gt_boxes=(), tags=frozenset()))
+        sent = []
+
+        def fake_urlopen(request, timeout):
+            sent.append(request.data)
+            return _FakeReply(json.dumps({"choices": [{"message": {"content": "no"}}]}).encode())
+
+        monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
+        backend = LiveBackend(base_url="https://inference.example/v1")
+        # the bytes a caller passes, and the bytes of a Frame with their memoised encoding
+        for given in (image, frame.read()):
+            backend.complete(given, prompt, params, None)
+        assert sent == [expected] * 2
+
+
+class TestTextThatUTF8CannotHold:
+    """A reply or fixture text that is not UTF-8, or holds a lone surrogate, is a malformed reply."""
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b'{"choices": [{"message": {"content": "\xff"}}]}',
+            b'{"choices": [{"message": {"content": "yes \\ud800"}}]}',
+            b'{"choices": [{"message": {"content": "yes \\udc00 no"}}]}',
+            # UTF-8 of a surrogate, which json.loads decodes with surrogatepass
+            b'{"choices": [{"message": {"content": "yes \xed\xa0\x80"}}]}',
+        ],
+        ids=["not-utf8", "escaped-high-surrogate", "escaped-low-surrogate", "encoded-surrogate"],
+    )
+    def test_parse_chat_reply_rejects(self, body):
+        with pytest.raises(MalformedBackendReply):
+            parse_chat_reply(body)
+
+    def test_parse_chat_reply_keeps_an_escaped_surrogate_pair(self):
+        body = b'{"choices": [{"message": {"content": "walking \\ud83d\\udeb6"}}]}'
+        assert parse_chat_reply(body) == "walking \U0001F6B6"
+
+    def test_live_reply_with_a_lone_surrogate_is_not_retried(self):
+        reply = http_reply(json.dumps({"choices": [{"message": {"content": "yes \ud800"}}]}).encode())
+        with LoopbackServer(lambda body: reply) as server:
+            with pytest.raises(MalformedBackendReply, match="lone surrogate"):
+                Gateway(LiveBackend(base_url=server.url)).send_vision_query(b"img", "prompt", PARAMS)
+        assert server.connections == 1
+
+    def test_fixture_loader_rejects_a_lone_surrogate(self, tmp_path):
+        path = tmp_path / "fixture.json"
+        path.write_text(json.dumps({"s|BIN|0": {"text": "yes \ud800"}}), encoding="utf-8")
+        with pytest.raises(MalformedBackendReply, match="'s\\|BIN\\|0' has text with a lone surrogate"):
+            load_mock_fixture(path)

@@ -858,3 +858,26 @@ def test_a_binary_records_file_of_two_prompts_exits_2_and_writes_nothing(record_
     assert main(["report", "--in", str(out)]) == EXIT_DATA
     assert capsys.readouterr().err == f"fovlink: {name}: records of more than one prompt: BIN, BIN_REFINED\n"
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize(
+    "name, outcome, field",
+    [
+        ("binary_results.jsonl", "verdict", "raw_text"),
+        ("localization_results.jsonl", "fault", "fault"),
+        ("comparison_results.jsonl", "located", "scene_id"),
+    ],
+)
+def test_a_record_string_with_a_lone_surrogate_exits_2_and_writes_nothing(
+    record_dirs, tmp_path, capsys, name, outcome, field
+):
+    # json.dumps writes the surrogate as the escape "\ud800"; the report writer
+    # used to crash on it with a UnicodeEncodeError
+    out = tmp_path / "out"
+    shutil.copytree(record_dirs[name], out)
+    index = next(i for i, r in enumerate(_records_of(out, name)) if r["outcome"] == outcome)
+    _rewrite(out, name, lambda records: records[index].update({field: records[index][field] + "\ud800"}))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main(["report", "--in", str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err == f"fovlink: {name} line {index + 1}: field {field!r} holds a lone surrogate\n"
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before

@@ -14,14 +14,23 @@ its own working directory:
   ``--prompts P1,P3 --parallelism 4`` and exp3 ``--prompts P1,P1`` (exit 1);
 - v2v over two remotes whose P1 reply is scripted and one whose reply the
   tool scripts as a timeout;
+- exp1 and exp2 with ``--backend live`` at ``--parallelism`` 1 and 2,
+  against an OpenAI-compatible HTTP server that each side serves on
+  127.0.0.1 in its own process. It answers a request with the fixture's
+  run-0 reply for the (scene, prompt) the request's frame and prompt text
+  name (a request carries no run index), and a scripted fault with HTTP
+  503, which ``--retries 0`` records at once;
 - ``fovlink report --targets csv,records,svg`` on every output directory;
 - ``--help`` of the program and of every subcommand, and usage errors.
 
 Each command goes through ``fovlink.cli.main`` as ``python -m fovlink``
 would call it. The exit code, stdout, stderr and the SHA-256 of every
-file in the command's output directory are compared. Usage and help text
-are compared with their options sorted, so a change of option order is
-the one difference that passes. The live backend is not exercised.
+file in the command's output directory are compared, and so are the
+sorted SHA-256 digests of the request bodies the server received during
+the command. In the files of a live output directory (``*_live``) the
+wall-clock ``latency`` of each record is masked before hashing. Usage and
+help text are compared with their options sorted, so a change of option
+order is the one difference that passes.
 
 Exit status: 0 when every case matches, 1 otherwise. Standard library only.
 """
@@ -29,11 +38,13 @@ Exit status: 0 when every case matches, 1 otherwise. Standard library only.
 from __future__ import annotations
 
 import argparse
+import base64
 import contextlib
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -42,6 +53,9 @@ from pathlib import Path
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 REPORT_TARGETS = "csv,records,svg"
+LIVE_SUFFIX = "_live"
+# the one wall-clock field of a result record, as the report writes it
+LATENCY = re.compile(rb'"latency":[^,}]*')
 # a case is (argv, the directory whose files it is judged by, relative to the side's cwd)
 Case = tuple[list[str], str]
 
@@ -61,9 +75,15 @@ def _cases(inputs: Path) -> list[Case]:
         ["exp3", *common, "--prompts", "P1,P1"],
         ["v2v", "--scenario", str(inputs / "scenario.json"), *common],
     ]
+    runs += [
+        [command, "--backend", "live", "--manifest", manifest, "--runs", "2", "--retries", "0",
+         "--parallelism", parallelism]
+        for command in ("exp1", "exp2")
+        for parallelism in ("1", "2")
+    ]
     cases: list[Case] = []
     for index, argv in enumerate(runs):
-        out = f"out/{index:02d}_{argv[0]}"
+        out = f"out/{index:02d}_{argv[0]}{LIVE_SUFFIX if 'live' in argv else ''}"
         cases += [([*argv, "--out", out], out), (["report", "--in", out, "--targets", REPORT_TARGETS], out)]
     out = "out/usage"
     usage = [
@@ -110,14 +130,64 @@ def _write_inputs(inputs: Path, src: Path, n_scenes: int, seed: int) -> None:
     ]
     scenario = {"vehicles": vehicles, "link": expected["dialogues"]["link"], "prompt_id": "P1"}
     (inputs / "scenario.json").write_text(json.dumps(scenario), encoding="utf-8")
+    # what the live server names a request by: its prompt text and its frame's base64
+    frames = {
+        _digest(base64.b64encode((inputs / s["image_path"]).read_bytes())): s["scene_id"] for s in scenes
+    }
+    live = {"prompts": {spec.text: p for p, spec in PROMPTS.items()}, "frames": frames}
+    (inputs / "live.json").write_text(json.dumps(live), encoding="utf-8")
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _serve_live(inputs: Path) -> tuple[str, list[str]]:
+    """Serve the live cases on 127.0.0.1 in this process: the base URL and the digests of the bodies received."""
+    import threading
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+    names = json.loads((inputs / "live.json").read_text(encoding="utf-8"))
+    fixture = json.loads((inputs / "fixture.json").read_text(encoding="utf-8"))
+    bodies: list[str] = []
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self) -> None:
+            body = self.rfile.read(int(self.headers["Content-Length"]))
+            bodies.append(_digest(body))
+            text, image = json.loads(body)["messages"][0]["content"]
+            scene = names["frames"].get(_digest(image["image_url"]["url"].partition(",")[2].encode()))
+            entry = fixture.get(f"{scene}|{names['prompts'].get(text['text'])}|0")
+            if entry is None:
+                status, reply = 400, {"error": "unscripted request"}
+            elif "text" in entry:
+                status, reply = 200, {"choices": [{"message": {"content": entry["text"]}}]}
+            else:
+                status, reply = 503, {"error": entry["fault"]}
+            data = json.dumps(reply).encode()
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+
+        def log_message(self, *args) -> None:
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    return f"http://127.0.0.1:{server.server_address[1]}/v1", bodies
 
 
 def _run_side() -> None:
     """Run the cases read from stdin in this interpreter; write their results to stdout as JSON."""
     from fovlink.cli import main
 
+    inputs, cases = json.loads(sys.stdin.read())
+    os.environ["FOVLINK_BASE_URL"], bodies = _serve_live(Path(inputs))
     results = []
-    for argv, out_dir in json.loads(sys.stdin.read()):
+    for argv, out_dir in cases:
+        bodies.clear()
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
@@ -128,22 +198,28 @@ def _run_side() -> None:
                 traceback.print_exc()
                 code = 1
         directory = Path(out_dir)
+        live = out_dir.endswith(LIVE_SUFFIX)
         files = {
-            str(path.relative_to(directory)): hashlib.sha256(path.read_bytes()).hexdigest()
+            str(path.relative_to(directory)): _digest(
+                LATENCY.sub(b'"latency":null', path.read_bytes()) if live else path.read_bytes()
+            )
             for path in sorted(directory.rglob("*"))
             if path.is_file()
         }
-        results.append({"code": code, "stdout": out.getvalue(), "stderr": err.getvalue(), "files": files})
+        results.append(
+            {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue(), "files": files, "bodies": sorted(bodies)}
+        )
     json.dump(results, sys.stdout)
 
 
-def _side(script: Path, src: Path, cwd: Path, cases: list[Case]) -> list[dict]:
+def _side(script: Path, src: Path, cwd: Path, inputs: Path, cases: list[Case]) -> list[dict]:
     cwd.mkdir(parents=True)
-    # fixed columns, so argparse wraps usage and help text the same way on both sides
-    env = {**os.environ, "PYTHONPATH": str(src), "COLUMNS": "100"}
+    # fixed columns, so argparse wraps usage and help text the same way on both sides;
+    # the live cases talk to this side's own loopback server, never through a proxy
+    env = {**os.environ, "PYTHONPATH": str(src), "COLUMNS": "100", "no_proxy": "127.0.0.1", "NO_PROXY": "127.0.0.1"}
     done = subprocess.run(
         [sys.executable, str(script), "--side"],
-        input=json.dumps(cases), cwd=cwd, env=env, capture_output=True, text=True, check=False,
+        input=json.dumps([str(inputs), cases]), cwd=cwd, env=env, capture_output=True, text=True, check=False,
     )
     if done.returncode != 0:
         raise SystemExit(f"identity_matrix: side {src} failed:\n{done.stderr}")
@@ -186,6 +262,8 @@ def _differences(a: dict, b: dict) -> list[str]:
             found.append(f"{stream}:\n  --- {a[stream]!r}\n  +++ {b[stream]!r}")
     names = sorted(set(a["files"]) | set(b["files"]))
     found += [f"file {name} differs" for name in names if a["files"].get(name) != b["files"].get(name)]
+    if a["bodies"] != b["bodies"]:
+        found.append(f"request bodies differ ({len(a['bodies'])} and {len(b['bodies'])} received)")
     return found
 
 
@@ -196,8 +274,8 @@ def compare(src_a: Path, src_b: Path, work: Path, n_scenes: int, seed: int) -> i
     _write_inputs(inputs, src_a, n_scenes, seed)
     cases = _cases(inputs)
     script = Path(__file__).resolve()
-    side_a = _side(script, src_a, work / "a", cases)
-    side_b = _side(script, src_b, work / "b", cases)
+    side_a = _side(script, src_a, work / "a", inputs, cases)
+    side_b = _side(script, src_b, work / "b", inputs, cases)
     differing = 0
     for (argv, _), a, b in zip(cases, side_a, side_b):
         found = _differences(a, b)
