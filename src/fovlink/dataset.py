@@ -24,18 +24,18 @@ from functools import cached_property
 from pathlib import Path
 
 from .errors import FovlinkError
-from .shape import FOUR_NUMBERS, NON_EMPTY_STR, Fields, ListOf, describe, problems
+from .shape import FOUR_NUMBERS, NON_EMPTY_TEXT, TEXT, Fields, ListOf, describe, problems
 
 # one manifest line (docs/schemas.md)
 MANIFEST_SHAPE = Fields(
     {
-        "scene_id": NON_EMPTY_STR,
-        "image_path": NON_EMPTY_STR,
+        "scene_id": NON_EMPTY_TEXT,
+        "image_path": NON_EMPTY_TEXT,
         "width": (int,),
         "height": (int,),
         "has_pedestrian": (bool,),
         "gt_boxes": ListOf(FOUR_NUMBERS),
-        "tags": ListOf((str,)),
+        "tags": ListOf(TEXT),
     }
 )
 
@@ -208,7 +208,10 @@ def load_manifest(path: str | Path) -> SceneSet:
     negatives: list[SceneRecord] = []
     seen: set[str] = set()
 
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ManifestError(f"manifest {path} is not UTF-8: {e}") from e
     for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue

@@ -11,10 +11,14 @@ asks every (prompt, run) of the experiment about it. Only a backend that
 is not simulated looks at the pixels, so only it reads the frame, once
 per task: experiment 3 reads each positive once for all its prompts, and
 a simulated backend reads no frame at all. For a backend that waits on
-the network, tasks run on a pool of ``parallelism`` threads, holding one
-frame per worker, and only such a run imports ``concurrent.futures``; a
-simulated backend never waits, so its tasks run on the calling thread
-whatever the parallelism. Each prompt's results
+the network, ``parallelism`` caps the requests in flight, not the
+threads: a task takes one of ``parallelism`` request slots before it
+opens its frame, and gives it back while a query sleeps out a retry's
+backoff, taking the next free slot, ahead of new tasks, once it wakes. So
+tasks run on a pool of ``2 * parallelism`` threads, and only such a run
+imports ``threading`` and ``concurrent.futures``. A simulated
+backend never waits, so its tasks run on the calling thread whatever the
+parallelism. Each prompt's results
 are sorted by (scene_id, prompt_id, run_idx) so output never depends on
 completion order. Per-scene gateway faults become recorded fault
 results; a run aborts only when every scene failed for a prompt, or for
@@ -179,6 +183,43 @@ def query_detection(
     )
 
 
+class _RequestSlots:
+    """``n`` request slots: a task back from a retry's backoff takes the next free one.
+
+    A semaphore would let a task that has just given a slot back take it
+    again before a waiting thread wakes, so a task back from a backoff
+    could wait until the last scene had taken a slot. Here a new scene
+    task (``with slots``) waits while any task back from a backoff
+    (``acquire``) does.
+    """
+
+    def __init__(self, cond, n: int) -> None:
+        self._cond = cond  # a threading.Condition: only a pooled run imports threading
+        self._free = n
+        self._returning = 0
+
+    def acquire(self) -> None:
+        with self._cond:
+            self._returning += 1
+            self._cond.wait_for(lambda: self._free)
+            self._returning -= 1
+            self._free -= 1
+            self._cond.notify_all()  # a new task may take a slot still free
+
+    def release(self) -> None:
+        with self._cond:
+            self._free += 1
+            self._cond.notify_all()
+
+    def __enter__(self) -> None:
+        with self._cond:
+            self._cond.wait_for(lambda: self._free and not self._returning)
+            self._free -= 1
+
+    def __exit__(self, *exc) -> None:
+        self.release()
+
+
 def _dispatch(
     scenes: list[SceneRecord],
     prompts: tuple[PromptSpec, ...],
@@ -191,12 +232,16 @@ def _dispatch(
     reads it once, at its first query. Tasks share a thread pool only when
     the backend waits on the network: a simulated backend answers at once,
     so worker threads would add only interpreter-lock hand-offs, and its
-    tasks run on the calling thread.
+    tasks run on the calling thread. On the pool, a task holds one of
+    ``parallelism`` slots from before it opens its frame to its last reply,
+    except while the gateway view from ``Gateway.yielding`` sleeps out a
+    backoff; a standby thread per slot takes up a slot lent that way, and
+    the task gets the next free slot back before any new task does.
     """
     if not scenes:
         raise ExperimentPrecondition("experiment invoked with zero scenes")
 
-    def query_scene(scene: SceneRecord) -> list[RunResult]:
+    def query_scene(scene: SceneRecord, gateway: Gateway = gateway) -> list[RunResult]:
         frame = Frame(scene)
         return [
             query_detection(frame, scene.scene_id, prompt, run_idx, gateway, config.params)
@@ -207,10 +252,19 @@ def _dispatch(
     if config.parallelism == 1 or gateway.backend.simulated:
         per_scene = [query_scene(scene) for scene in scenes]
     else:
+        import threading
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            per_scene = list(pool.map(query_scene, scenes))
+        slots = _RequestSlots(threading.Condition(), config.parallelism)
+        lending = gateway.yielding(slots)
+
+        def query_in_slot(scene: SceneRecord) -> list[RunResult]:
+            with slots:
+                return query_scene(scene, lending)
+
+        # a standby thread per slot keeps every slot busy while tasks back off
+        with ThreadPoolExecutor(max_workers=2 * config.parallelism) as pool:
+            per_scene = list(pool.map(query_in_slot, scenes))
     by_prompt: dict[str, list[RunResult]] = {prompt.prompt_id: [] for prompt in prompts}
     for result in chain.from_iterable(per_scene):
         by_prompt[result.prompt_id].append(result)

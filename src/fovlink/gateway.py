@@ -30,6 +30,7 @@ the set-up of a live run never load it.
 from __future__ import annotations
 
 import base64
+import copy
 import json
 import os
 import time
@@ -285,10 +286,34 @@ class Gateway:
     script is read-only, and the live path opens one connection per call.
     A connection the server drops, or a reply body cut short, is a
     transport fault and is retried like any other.
+
+    The view ``yielding(slots)`` returns sleeps out each backoff with one
+    of ``slots`` given back (``release``), so a caller that holds one of
+    them while it queries lets another caller's request run in the
+    meantime; it takes a slot again (``acquire``) before the next attempt.
     """
+
+    _slots = None  # what a view made by ``yielding`` lends its slot to
 
     def __init__(self, backend) -> None:
         self.backend = backend
+
+    def yielding(self, slots) -> Gateway:
+        """This gateway, of the same class, releasing one of ``slots`` while it backs off."""
+        view = copy.copy(self)
+        view._slots = slots
+        return view
+
+    def _backoff(self, seconds: float) -> None:
+        slots = self._slots
+        if slots is None:
+            time.sleep(seconds)
+            return
+        slots.release()
+        try:
+            time.sleep(seconds)
+        finally:
+            slots.acquire()
 
     def send_vision_query(
         self,
@@ -327,7 +352,7 @@ class Gateway:
                 )
                 last_fault = fault
                 if attempt <= params.max_retries and not self.backend.simulated:
-                    time.sleep(params.backoff_base * 2 ** (attempt - 1))
+                    self._backoff(params.backoff_base * 2 ** (attempt - 1))
                 continue
             except GatewayError as e:
                 attempts.append(f"attempt {attempt}: {type(e).__name__} ({e})")

@@ -499,8 +499,12 @@ def emit_report(bundle: ReportBundle, targets, out_dir: str | Path) -> list[Path
 
 def _read_lines(path: Path, decode: Callable[[str], object]) -> list:
     """``decode`` of each non-blank line of ``path``; a decode error names the file and line."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ReportError(f"{path.name} is not UTF-8: {e}") from e
     decoded = []
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
+    for line_no, line in enumerate(text.split("\n"), start=1):
         if line.strip():
             try:
                 decoded.append(decode(line))

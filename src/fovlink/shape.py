@@ -72,6 +72,13 @@ def utf8_encodable(text: str) -> bool:
 
 
 NON_EMPTY_STR = Rule("must be a non-empty string", lambda v: type(v) is str and v != "")
+# the strings of an input a run writes back out, or opens as a path; an
+# ASCII string skips the call, since a manifest holds thousands of them
+TEXT = Rule("must be a string UTF-8 can encode", lambda v: type(v) is str and (v.isascii() or utf8_encodable(v)))
+NON_EMPTY_TEXT = Rule(
+    "must be a non-empty string UTF-8 can encode",
+    lambda v: type(v) is str and v != "" and (v.isascii() or utf8_encodable(v)),
+)
 NON_NEGATIVE_INT = Rule("must be a non-negative integer", lambda v: type(v) is int and v >= 0)
 FOUR_NUMBERS = Rule(
     "must be four numbers",

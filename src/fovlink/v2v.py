@@ -32,7 +32,7 @@ from .parsing import DetectionKind, FailureKind, ParsedDetection
 # bench/spans.py traces the parsers under these names
 from .parsing import detect_bbox, detect_binary  # noqa: F401
 from .prompts import get_prompt
-from .shape import COMPACT_JSON, NON_EMPTY_STR, NON_NEGATIVE_INT, NULL, NUMBER, Fields, ListOf, Nullable, describe, problems
+from .shape import COMPACT_JSON, NON_EMPTY_TEXT, NON_NEGATIVE_INT, NULL, NUMBER, TEXT, Fields, ListOf, Nullable, describe, problems
 
 PROTOCOL_VERSION = "1"
 
@@ -342,13 +342,13 @@ _SCENARIO_SHAPE = Fields(
     {
         "vehicles": ListOf(
             Fields(
-                {"vehicle_id": NON_EMPTY_STR, "role": frozenset(role.value for role in Role)},
-                {"scene_id": (str, NULL)},
+                {"vehicle_id": NON_EMPTY_TEXT, "role": frozenset(role.value for role in Role)},
+                {"scene_id": Nullable(TEXT)},
                 others=True,
             )
         ),
         "link": Fields({"rate_bps": NUMBER}, {"overhead": NUMBER}, others=True),
-        "prompt_id": (str,),
+        "prompt_id": TEXT,
     },
     others=True,
 )
@@ -360,6 +360,8 @@ def load_scenario(path: str | Path) -> tuple[VehicleAgent, tuple[VehicleAgent, .
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as e:
         raise ScenarioError(f"scenario file not found: {path}") from e
+    except UnicodeDecodeError as e:
+        raise ScenarioError(f"scenario {path} is not UTF-8: {e}") from e
     except json.JSONDecodeError as e:
         raise ScenarioError(f"scenario is not valid JSON: {e}") from e
     found = problems(raw, _SCENARIO_SHAPE)

@@ -629,3 +629,87 @@ def test_a_live_frame_that_vanishes_after_it_was_opened_is_io_error(workspace, m
     assert capsys.readouterr().err == f"fovlink: i/o error: [Errno 2] No such file or directory: '{frame}'\n"
     assert server.connections == 0
     assert not (tmp_path / "out").exists()
+
+
+class TestInputsUTF8CannotHold:
+    """An input that is not UTF-8, or holds a string UTF-8 cannot encode, exits 2 where it is read."""
+
+    def test_manifest_that_is_not_utf8_is_data_error(self, workspace, capsys):
+        tmp_path, manifest, scenes = workspace
+        fixture = write_fixture(tmp_path, binary_script(scenes))
+        manifest.write_bytes(manifest.read_bytes().replace(b"pos_a", b"pos_\xff", 1))
+        code = run_cli("exp1", "--manifest", manifest, "--fixture", fixture, "--runs", 1, "--out", tmp_path / "out")
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"fovlink: manifest {manifest} is not UTF-8: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_records_file_that_is_not_utf8_is_data_error(self, workspace, capsys):
+        tmp_path, manifest, scenes = workspace
+        out = tmp_path / "out"
+        fixture = write_fixture(tmp_path, binary_script(scenes))
+        assert run_cli("exp1", "--manifest", manifest, "--fixture", fixture, "--runs", 1, "--out", out) == EXIT_OK
+        records = out / "binary_results.jsonl"
+        records.write_bytes(records.read_bytes().replace(b'"yes"', b'"y\xffs"', 1))
+        capsys.readouterr()
+        assert run_cli("report", "--in", out) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("fovlink: binary_results.jsonl is not UTF-8: ")
+
+    def test_scenario_that_is_not_utf8_is_data_error(self, workspace, capsys):
+        tmp_path, manifest, _ = workspace
+        scenario = _v2v_scenario(tmp_path)
+        scenario.write_bytes(scenario.read_bytes().replace(b'"ego"', b'"eg\xff"', 1))
+        fixture = write_fixture(tmp_path, {})
+        code = run_cli(
+            "v2v", "--scenario", scenario, "--manifest", manifest, "--fixture", fixture, "--out", tmp_path / "out"
+        )
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"fovlink: scenario {scenario} is not UTF-8: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "field, line",
+        [
+            ("scene_id", scene_line("s\ud800", positive=True, image_path="images/s.jpg")),
+            ("image_path", scene_line("s", positive=True, image_path="images/\ud800.jpg")),
+            ("tags[1]", scene_line("s", positive=True, tags=["dusk", "d\ud800"])),
+        ],
+        ids=["scene_id", "image_path", "tag"],
+    )
+    def test_manifest_string_with_a_lone_surrogate_is_data_error(self, tmp_path, capsys, field, line):
+        # each used to crash later with a UnicodeEncodeError: in the report
+        # writer, in os.open or not at all
+        manifest = write_manifest(tmp_path, [line], create_images=False)
+        fixture = write_fixture(tmp_path, {})
+        code = run_cli("exp1", "--manifest", manifest, "--fixture", fixture, "--runs", 1, "--out", tmp_path / "out")
+        assert code == EXIT_DATA
+        reason = "must be a non-empty string" if field != "tags[1]" else "must be a string"
+        assert capsys.readouterr().err == f"fovlink: line 1: field {field!r} {reason} UTF-8 can encode\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "field, reason, edit",
+        [
+            (
+                "vehicles[1].vehicle_id",
+                "must be a non-empty string",
+                lambda s: s["vehicles"][1].update(vehicle_id="r\ud800"),
+            ),
+            ("vehicles[1].scene_id", "must be a string", lambda s: s["vehicles"][1].update(scene_id="pos_a\ud800")),
+            ("prompt_id", "must be a string", lambda s: s.update(prompt_id="P1\ud800")),
+        ],
+        ids=["vehicle_id", "scene_id", "prompt_id"],
+    )
+    def test_scenario_string_with_a_lone_surrogate_is_data_error(self, workspace, capsys, field, reason, edit):
+        # a vehicle_id used to crash the transcript writer with a UnicodeEncodeError
+        tmp_path, manifest, scenes = workspace
+        scenario = _v2v_scenario(tmp_path)
+        raw = json.loads(scenario.read_text(encoding="utf-8"))
+        edit(raw)
+        scenario.write_text(json.dumps(raw), encoding="utf-8")
+        fixture = write_fixture(tmp_path, localization_script(scenes, "no pedestrian"))
+        code = run_cli(
+            "v2v", "--scenario", scenario, "--manifest", manifest, "--fixture", fixture, "--out", tmp_path / "out"
+        )
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"fovlink: scenario: field {field!r} {reason} UTF-8 can encode\n"
+        assert not (tmp_path / "out").exists()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from collections import Counter
 from dataclasses import replace
 
@@ -23,7 +24,7 @@ from fovlink.experiments import (
     run_localization_experiment,
     run_prompt_comparison,
 )
-from fovlink.gateway import Gateway, LiveBackend, MockBackend, QueryParams, build_chat_request
+from fovlink.gateway import Gateway, LiveBackend, MockBackend, QueryParams, _BackendFault, build_chat_request
 from fovlink.parsing import FailureKind
 from fovlink.prompts import get_prompt
 from fovlink.report import ReportBundle, emit_report
@@ -586,3 +587,88 @@ def test_a_live_scene_task_reads_and_encodes_its_frame_once(tmp_path, frame_read
     }
     # the 503 and its retry, then the two other runs of P1, then P2's three runs
     assert bodies == [expected["P1"]] * 4 + [expected["P2"]] * 3
+
+
+class SlowNetworkBackend(MockBackend):
+    """A backend that waits on the network: each call takes ``hold`` seconds.
+
+    It counts the calls in flight, records every call's key, thread and
+    span, and fails the first attempt at ``flaky`` with a retryable fault.
+    """
+
+    simulated = False
+
+    def __init__(self, script, flaky, hold=0.02) -> None:
+        super().__init__(script)
+        self.flaky = flaky
+        self.hold = hold
+        self.in_flight = 0
+        self.peak = 0
+        self.calls: list[tuple[tuple, int, float, float]] = []
+        self._lock = threading.Lock()
+
+    def complete(self, image, prompt, params, key):
+        start = time.monotonic()
+        with self._lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+            first = key == self.flaky and all(k != key for k, *_ in self.calls)
+        try:
+            time.sleep(self.hold)
+            if first:
+                raise _BackendFault("rate_limit", "HTTP 429: scripted")
+            return super().complete(image, prompt, params, key)
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+                self.calls.append((key, threading.get_ident(), start, time.monotonic()))
+
+
+class TestSlotLending:
+    """A scene task sleeping out a backoff lends its request slot to the next scene."""
+
+    FLAKY = ("s00", "BIN", 0)
+
+    def run(self, tmp_path, parallelism, n_scenes=12, backoff=0.3):
+        records = [scene_line(f"s{i:02d}", positive=i % 2 == 0) for i in range(n_scenes)]
+        scenes = load_manifest(write_manifest(tmp_path, records))
+        backend = SlowNetworkBackend(binary_script(scenes), self.FLAKY)
+        config = ExperimentConfig(
+            runs_per_prompt=1, parallelism=parallelism, params=QueryParams(backoff_base=backoff)
+        )
+        return run_binary_experiment(scenes, "BIN", Gateway(backend), config), backend
+
+    def attempts(self, backend):
+        return sorted((start, end) for key, _, start, end in backend.calls if key == self.FLAKY)
+
+    def test_other_scenes_use_the_slot_while_a_retry_backs_off(self, tmp_path):
+        result, backend = self.run(tmp_path, 2)
+        assert backend.peak == 2
+        flaky = self.attempts(backend)
+        assert len(flaky) == 2
+        backoff = (flaky[0][1], flaky[1][0])
+        inside = [
+            (start, end)
+            for key, _, start, end in backend.calls
+            if key[0] != "s00" and backoff[0] <= start and end <= backoff[1]
+        ]
+        assert inside
+        # two calls at once inside the window: the slot of the scene in backoff was lent
+        assert any(a[0] < b[1] and b[0] < a[1] for i, a in enumerate(inside) for b in inside[i + 1:])
+        serial, _ = self.run(tmp_path, 1)
+        masked = [replace(r, latency=0.0) for r in result.results]
+        assert masked == [replace(r, latency=0.0) for r in serial.results]
+        assert [r.fault for r in result.results] == [None] * 12
+
+    def test_a_task_back_from_its_backoff_takes_the_next_free_slot(self, tmp_path):
+        # the other 59 scenes keep both slots busy for about 0.6 s, well past
+        # the 0.2 s backoff; the retry waits for one call to end, not for them
+        _, backend = self.run(tmp_path, 2, n_scenes=60, backoff=0.2)
+        first, retry = self.attempts(backend)
+        assert retry[0] - first[1] < 0.2 + 0.1
+        assert max(end for *_, end in backend.calls) - retry[1] > 0.1
+
+    def test_one_slot_runs_every_call_on_the_calling_thread(self, tmp_path):
+        _, backend = self.run(tmp_path, 1)
+        assert {thread for _, thread, _, _ in backend.calls} == {threading.get_ident()}
+        assert backend.peak == 1

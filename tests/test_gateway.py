@@ -374,3 +374,53 @@ class TestTextThatUTF8CannotHold:
         path.write_text(json.dumps({"s|BIN|0": {"text": "yes \ud800"}}), encoding="utf-8")
         with pytest.raises(MalformedBackendReply, match="'s\\|BIN\\|0' has text with a lone surrogate"):
             load_mock_fixture(path)
+
+
+class TestYieldingView:
+    """A view made by ``yielding`` gives its slot back while it sleeps out a backoff."""
+
+    def test_slot_is_free_during_the_backoff_and_held_again_for_the_retry(self, monkeypatch):
+        import threading
+
+        import fovlink.gateway
+
+        slots = threading.BoundedSemaphore(1)
+        seen = []
+
+        class Backend(FlakyBackend):
+            simulated = False
+
+            def complete(self, image, prompt, params, key):
+                seen.append(("call", slots.acquire(blocking=False)))
+                return super().complete(image, prompt, params, key)
+
+        def sleep(seconds):
+            free = slots.acquire(blocking=False)
+            if free:
+                slots.release()
+            seen.append(("sleep", seconds, free))
+
+        monkeypatch.setattr(fovlink.gateway.time, "sleep", sleep)
+        slots.acquire()
+        gateway = Gateway(Backend(failures=1)).yielding(slots)
+        response = gateway.send_vision_query(b"img", "prompt", QueryParams(max_retries=2, backoff_base=0.25))
+        assert response.attempt_count == 2
+        # False: the slot was taken; the caller holds it on each attempt and on return
+        assert seen == [("call", False), ("sleep", 0.25, True), ("call", False)]
+        assert slots.acquire(blocking=False) is False
+        slots.release()
+
+    def test_a_subclass_stays_a_subclass_and_the_original_is_untouched(self):
+        import threading
+
+        class Traced(Gateway):
+            pass
+
+        slots = threading.BoundedSemaphore(2)
+        original = Traced(FlakyBackend(failures=0))
+        view = original.yielding(slots)
+        assert type(view) is Traced
+        assert view is not original
+        assert view.backend is original.backend
+        assert view._slots is slots
+        assert original._slots is None

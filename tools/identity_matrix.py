@@ -19,7 +19,9 @@ its own working directory:
   127.0.0.1 in its own process. It answers a request with the fixture's
   run-0 reply for the (scene, prompt) the request's frame and prompt text
   name (a request carries no run index), and a scripted fault with HTTP
-  503, which ``--retries 0`` records at once;
+  503 on every attempt: with ``--retries 1`` each one sleeps out one
+  backoff, on the worker threads at ``--parallelism`` 2, and is then
+  recorded as a fault;
 - ``fovlink report --targets csv,records,svg`` on every output directory;
 - ``--help`` of the program and of every subcommand, and usage errors.
 
@@ -76,7 +78,7 @@ def _cases(inputs: Path) -> list[Case]:
         ["v2v", "--scenario", str(inputs / "scenario.json"), *common],
     ]
     runs += [
-        [command, "--backend", "live", "--manifest", manifest, "--runs", "2", "--retries", "0",
+        [command, "--backend", "live", "--manifest", manifest, "--runs", "2", "--retries", "1",
          "--parallelism", parallelism]
         for command in ("exp1", "exp2")
         for parallelism in ("1", "2")
