@@ -16,7 +16,6 @@ from .errors import FovlinkError
 from .experiments import (
     AllScenesFailed,
     ExperimentConfig,
-    failure_lowlight_share,
     lowlight_by_scene,
     run_binary_experiment,
     run_localization_experiment,
@@ -35,9 +34,9 @@ from .prompts import UnknownPromptId
 from .report import (
     RENDER_TARGETS,
     ReportBundle,
-    consistency_or_none,
     emit_report,
     normalize_targets,
+    report_bundle,
     rerender,
 )
 from .v2v import load_scenario, run_dialogue
@@ -174,15 +173,7 @@ def _cmd_experiment(args) -> list[Path]:
     scenes = load_manifest(args.manifest)
     config = ExperimentConfig(runs_per_prompt=args.runs, parallelism=args.parallelism, params=_query_params(args))
     outcome = run(scenes, args.prompt, _make_gateway(args), config)
-    lowlight = lowlight_by_scene(scenes)
-    bundle = ReportBundle(
-        consistency=consistency_or_none(outcome.results),
-        labels=dict(scenes.labels()),
-        lowlight=lowlight,
-        # only a localization part renders failures.csv, the one reader of the share
-        lowlight_share=failure_lowlight_share(outcome.results, lowlight),
-        **{part: outcome},
-    )
+    bundle = report_bundle({part: outcome}, dict(scenes.labels()), lowlight_by_scene(scenes))
     files = emit_report(bundle, RENDER_TARGETS, args.out)
     print(summary(args.prompt, outcome))
     return files

@@ -11,7 +11,7 @@ column; the column set behind a tag is closed, any added column bumps
 the version. Exact field names are documented in docs/schemas.md.
 
 Re-rendering checks each result record on its own (``record_to_result``)
-and then each records file as a whole (``_check_runs``). ``statistics``
+and then each records file as a whole (``_checked_rows``). ``statistics``
 is imported by the box-plot quartiles and ``logging`` by the empty-bundle
 warning, so a process that needs neither loads neither.
 """
@@ -241,33 +241,24 @@ def _stats_csv(binary: BinaryExperimentResult) -> str:
     return _lines(rows)
 
 
-_SUMMARY_COLUMNS = (
-    "n_tests",
-    "n_overlapping",
-    "union_rate_pct",
-    "recall_mean_overlapping_pct",
-    "recall_std_overlapping_pct",
-    "recall_mean_all_pct",
-    "recall_std_all_pct",
-    "iou_mean_overlapping_pct",
+# LocalizationSummary fields of localization_summary.csv: the counts, then
+# the shares, each in a column named after it plus "_pct"
+_SUMMARY_COUNTS = ("n_tests", "n_overlapping")
+_SUMMARY_SHARES = (
+    "union_rate",
+    "recall_mean_overlapping",
+    "recall_std_overlapping",
+    "recall_mean_all",
+    "recall_std_all",
+    "iou_mean_overlapping",
 )
 
 
 def _summary_csv(rows: list[tuple[str, LocalizationSummary]]) -> str:
-    lines = ["localization_summary_v1," + ",".join(_SUMMARY_COLUMNS)]
+    lines = [",".join(["localization_summary_v1", *_SUMMARY_COUNTS, *(f"{n}_pct" for n in _SUMMARY_SHARES)])]
     for label, s in rows:
-        cells = [
-            label,
-            str(s.n_tests),
-            str(s.n_overlapping),
-            _pct(s.union_rate),
-            _pct(s.recall_mean_overlapping),
-            _pct(s.recall_std_overlapping),
-            _pct(s.recall_mean_all),
-            _pct(s.recall_std_all),
-            _pct(s.iou_mean_overlapping),
-        ]
-        lines.append(",".join(cells))
+        counts = (str(getattr(s, n)) for n in _SUMMARY_COUNTS)
+        lines.append(",".join([label, *counts, *(_pct(getattr(s, n)) for n in _SUMMARY_SHARES)]))
     return _lines(lines)
 
 
@@ -522,46 +513,83 @@ def _decode_record(line: str) -> _Row:
 
 
 def _decode_wire(line: str) -> tuple[V2VMessage, int]:
-    """One transcript line as its message and its size on the wire."""
+    """One transcript line as its message and its size on the wire; the line must be its canonical encoding."""
     data = line.encode("utf-8")
-    return decode_message(data), len(data)
+    message = decode_message(data)
+    try:
+        canonical = encode_message(message)
+    except UnicodeEncodeError as e:
+        raise ReportError("a string holds a lone surrogate") from e
+    if canonical != data:
+        raise ReportError("not the canonical encoding of its message")
+    return message, len(data)
 
 
-def _decode(rows: list[_Row]) -> tuple[tuple[RunResult, ...], tuple[LocalizationSample, ...]]:
-    """Results and samples of ``rows``, in the order the experiments produce them."""
-    results = sorted((row[0] for row in rows), key=lambda r: (r.scene_id, r.prompt_id, r.run_idx))
-    samples = sorted((row[1] for row in rows if row[1] is not None), key=lambda s: (s.scene_id, s.run_idx))
-    return tuple(results), tuple(samples)
+def _checked_rows(rows: list[_Row], part: str, name: str, facts: dict[str, tuple]) -> list[_Row]:
+    """``rows`` in experiment order, once the file breaks no rule that no single record shows.
 
-
-def _scene_facts(rows: list[_Row], name: str, facts: dict[str, tuple]) -> dict[str, tuple]:
-    """``facts`` plus the (label, scene_lowlight) of each scene of ``rows``, which all its records must share."""
-    for result, _, label, lowlight in rows:
-        known = facts.setdefault(result.scene_id, (label, lowlight))
+    The file must not be empty, repeat a (scene, prompt, run) or number a
+    prompt's runs other than 0..n-1, and only a comparison holds more than
+    one prompt. A binary record has no sample; a localization or comparison
+    record has one exactly when it is scored (located or failure), and a
+    failure scores false, 0 and 0. Every record of a scene, in this file and
+    in those read before it (``facts``, extended here), has the same
+    (label, scene_lowlight).
+    """
+    if not rows:
+        raise ReportError(f"no {part} result records in {name}")
+    by_key: dict[tuple[str, str, int], _Row] = {}
+    runs: dict[str, set[int]] = {}
+    for row in rows:
+        result, sample, label, lowlight = row
+        key = scene_id, prompt_id, run_idx = result.scene_id, result.prompt_id, result.run_idx
+        if key in by_key:
+            raise ReportError(f"{name}: prompt {prompt_id} has two records of scene {scene_id!r} run {run_idx}")
+        by_key[key] = row
+        runs.setdefault(prompt_id, set()).add(run_idx)
+        known = facts.setdefault(scene_id, (label, lowlight))
         if known != (label, lowlight):
             field = "label" if known[0] is not label else "scene_lowlight"
-            raise ReportError(f"{name}: the records of scene {result.scene_id!r} disagree on {field}")
-    return facts
+            raise ReportError(f"{name}: the records of scene {scene_id!r} disagree on {field}")
+        if part == "binary":
+            if sample is not None:
+                raise ReportError(f"{name}: scene {scene_id!r} has overlap, recall and iou")
+            continue
+        kind = "fault" if result.detection is None else result.detection.kind.value
+        if (sample is None) is (kind in ("located", "failure")):
+            problem = f"{'without' if sample is None else 'with'} overlap, recall and iou"
+        elif kind == "failure" and (sample.overlap, sample.recall, sample.iou) != (False, 0, 0):
+            problem = "whose overlap, recall and iou are not false, 0 and 0"
+        else:
+            continue
+        where = f"scene {scene_id!r} run {run_idx}"
+        raise ReportError(f"{name}: prompt {prompt_id} has a {kind} record of {where} {problem}")
+    if part != "comparison" and len(runs) > 1:
+        raise ReportError(f"{name}: records of more than one prompt: {', '.join(sorted(runs))}")
+    for prompt_id, found in sorted(runs.items()):
+        if len(found) != max(found) + 1:
+            missing = next(run for run in range(len(found)) if run not in found)
+            raise ReportError(f"{name}: prompt {prompt_id} has run_idx {max(found)} but no run {missing}")
+    return [by_key[key] for key in sorted(by_key)]
 
 
 def rebuild_binary(rows: list[_Row]) -> BinaryExperimentResult:
-    """Reconstruct a binary experiment from the decoded rows of its records, which must be labelled."""
-    results, _ = _decode(rows)
-    labels = sorted((scene_id, label) for scene_id, (label, _) in _scene_facts(rows, _BINARY_RECORDS, {}).items())
-    unlabelled = [scene_id for scene_id, label in labels if label is None]
-    if unlabelled:
-        raise ReportError(f"{_BINARY_RECORDS}: scene {unlabelled[0]!r} has no label")
-    n_runs = max(r.run_idx for r in results) + 1
-    return binary_result(results, labels, n_runs)
+    """Reconstruct a binary experiment from the checked rows of its records, which must be labelled."""
+    results = tuple(row[0] for row in rows)
+    labels = list({result.scene_id: label for result, _, label, _ in rows}.items())
+    unlabelled = next((scene_id for scene_id, label in labels if label is None), None)
+    if unlabelled is not None:
+        raise ReportError(f"{_BINARY_RECORDS}: scene {unlabelled!r} has no label")
+    return binary_result(results, labels, max(r.run_idx for r in results) + 1)
 
 
 def rebuild_localization(rows: list[_Row]) -> LocalizationExperimentResult:
-    """Reconstruct a localization experiment from the decoded rows of its records."""
-    return localization_result(*_decode(rows))
+    """Reconstruct a localization experiment from the checked rows of its records."""
+    return localization_result(tuple(row[0] for row in rows), tuple(row[1] for row in rows if row[1] is not None))
 
 
 def rebuild_comparison(rows: list[_Row]) -> PromptComparison:
-    """Reconstruct a prompt comparison from the decoded rows of its merged records."""
+    """Reconstruct a prompt comparison from the checked rows of its merged records."""
     by_prompt: dict[str, list[_Row]] = {}
     for row in rows:
         by_prompt.setdefault(row[0].prompt_id, []).append(row)
@@ -595,61 +623,20 @@ def rebuild_transcript(transcript_path: Path, link_path: Path) -> DialogueTransc
         raise ReportError(f"cannot rebuild the transcript in {transcript_path.parent}: {e}") from e
 
 
-def _sample_problem(result: RunResult, sample: LocalizationSample | None) -> str | None:
-    """What is wrong with the sample of a localization or comparison record, if anything.
+def report_bundle(parts: dict, labels: dict[str, bool], lowlight: dict[str, bool]) -> ReportBundle:
+    """The bundle of ``parts`` (ReportBundle field -> experiment or transcript), as a run and rerender build it.
 
-    Located and failure records are scored, and a failure only ever scores
-    false, 0 and 0; fault and verdict records are not scored.
+    Run consistency covers every part's results (None when no key ran
+    twice), and the low-light share the failures of the localization part.
     """
-    detection = result.detection
-    if detection is None or detection.kind is DetectionKind.VERDICT:
-        return None if sample is None else "with overlap, recall and iou"
-    if sample is None:
-        return "without overlap, recall and iou"
-    if detection.kind is DetectionKind.FAILURE and (sample.overlap, sample.recall, sample.iou) != (False, 0, 0):
-        return "whose overlap, recall and iou are not false, 0 and 0"
-    return None
-
-
-def _check_runs(rows: list[_Row], part: str, name: str) -> None:
-    """Reject what no single record shows.
-
-    That is an empty file, a repeated (scene, prompt, run), a prompt's runs
-    not numbered 0..n-1, a binary file of more than one prompt, and a sample
-    on a record the file's experiment does not score, or none on one it does.
-    """
-    if not rows:
-        raise ReportError(f"no {part} result records in {name}")
-    scored = part != "binary"
-    keys: set[tuple[str, str, int]] = set()
-    runs: dict[str, set[int]] = {}
-    for result, sample, _, _ in rows:
-        key = scene_id, prompt_id, run_idx = result.scene_id, result.prompt_id, result.run_idx
-        if key in keys:
-            raise ReportError(f"{name}: prompt {prompt_id} has two records of scene {scene_id!r} run {run_idx}")
-        keys.add(key)
-        runs.setdefault(prompt_id, set()).add(run_idx)
-        if not scored:
-            if sample is not None:
-                raise ReportError(f"{name}: scene {scene_id!r} has overlap, recall and iou")
-        elif (problem := _sample_problem(result, sample)) is not None:
-            kind = "fault" if result.detection is None else result.detection.kind.value
-            where = f"scene {scene_id!r} run {run_idx}"
-            raise ReportError(f"{name}: prompt {prompt_id} has a {kind} record of {where} {problem}")
-    if not scored and len(runs) > 1:
-        raise ReportError(f"{name}: records of more than one prompt: {', '.join(sorted(runs))}")
-    for prompt_id, found in sorted(runs.items()):
-        if len(found) != max(found) + 1:
-            missing = next(run for run in range(len(found)) if run not in found)
-            raise ReportError(f"{name}: prompt {prompt_id} has run_idx {max(found)} but no run {missing}")
-
-
-def consistency_or_none(results) -> list[ConsistencyRecord] | None:
-    """Run consistency of ``results``, or None when no key ran twice."""
+    results = [r for part, outcome in parts.items() if part != "transcript" for r in outcome.results]
     try:
-        return analyze_run_consistency(results)
+        consistency = analyze_run_consistency(results)
     except InsufficientRuns:
-        return None
+        consistency = None
+    localization = parts.get("localization")
+    share = None if localization is None else failure_lowlight_share(localization.results, lowlight)
+    return ReportBundle(consistency=consistency, labels=labels, lowlight=lowlight, lowlight_share=share, **parts)
 
 
 def rerender(in_dir: str | Path, targets) -> list[Path]:
@@ -661,10 +648,8 @@ def rerender(in_dir: str | Path, targets) -> list[Path]:
     in_path = Path(in_dir)
     if not in_path.is_dir():
         raise ReportError(f"input directory not found: {in_path}")
-    bundle_kwargs: dict = {}
+    parts: dict = {}
     facts: dict[str, tuple] = {}
-    all_results: list[RunResult] = []
-
     # built per call so the rebuild functions are looked up when they run
     sources = (
         ("binary", _BINARY_RECORDS, rebuild_binary),
@@ -673,26 +658,15 @@ def rerender(in_dir: str | Path, targets) -> list[Path]:
     )
     for part, name, rebuild in sources:
         path = in_path / name
-        if not path.is_file():
-            continue
-        rows = _read_lines(path, _decode_record)
-        _check_runs(rows, part, name)
-        _scene_facts(rows, name, facts)
-        outcome = rebuild(rows)
-        bundle_kwargs[part] = outcome
-        all_results.extend(outcome.results)
+        if path.is_file():
+            parts[part] = rebuild(_checked_rows(_read_lines(path, _decode_record), part, name, facts))
 
     transcript_path = in_path / _TRANSCRIPT_FILE
     if transcript_path.is_file():
-        bundle_kwargs["transcript"] = rebuild_transcript(transcript_path, in_path / _LINK_FILE)
+        parts["transcript"] = rebuild_transcript(transcript_path, in_path / _LINK_FILE)
 
-    if not bundle_kwargs:
+    if not parts:
         raise ReportError(f"no recognized result files in {in_path}")
     labels = {scene_id: label for scene_id, (label, _) in facts.items() if label is not None}
     lowlight = {scene_id: tag for scene_id, (_, tag) in facts.items() if tag is not None}
-    bundle_kwargs.update(labels=labels, lowlight=lowlight, consistency=consistency_or_none(all_results))
-    if "localization" in bundle_kwargs:
-        bundle_kwargs["lowlight_share"] = failure_lowlight_share(
-            bundle_kwargs["localization"].results, lowlight
-        )
-    return emit_report(ReportBundle(**bundle_kwargs), targets, in_path)
+    return emit_report(report_bundle(parts, labels, lowlight), targets, in_path)

@@ -188,20 +188,9 @@ def derive_detection_stats(cm: ConfusionMatrix) -> DetectionStats:
     mcc_den = (tp + fp) * (tp + fn_) * (tn + fp) * (tn + fn_)
     mcc = (tp * tn - fp * fn_) / math.sqrt(mcc_den) if mcc_den else None
 
-    values = {
-        "recall": recall,
-        "specificity": specificity,
-        "precision": precision,
-        "npv": npv,
-        "fpr": fpr,
-        "fdr": fdr,
-        "fnr": fnr,
-        "accuracy": accuracy,
-        "f1": f1,
-        "mcc": mcc,
-    }
-    undefined = tuple(name for name in STAT_NAMES if values[name] is None)
-    return DetectionStats(**values, undefined=undefined)
+    values = (recall, specificity, precision, npv, fpr, fdr, fnr, accuracy, f1, mcc)  # in STAT_NAMES order
+    undefined = tuple(name for name, value in zip(STAT_NAMES, values) if value is None)
+    return DetectionStats(*values, undefined=undefined)
 
 
 def _pop_mean(xs: list[float]) -> float:

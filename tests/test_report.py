@@ -881,3 +881,83 @@ def test_a_record_string_with_a_lone_surrogate_exits_2_and_writes_nothing(
     assert main(["report", "--in", str(out)]) == EXIT_DATA
     assert capsys.readouterr().err == f"fovlink: {name} line {index + 1}: field {field!r} holds a lone surrogate\n"
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_a_directory_of_several_parts_rerenders_each_part_as_its_run_wrote_it(record_dirs, tmp_path):
+    # the exp1 and exp2 directories of one manifest copied into one: every file
+    # but consistency.csv stays as its run wrote it, and consistency.csv holds
+    # both runs' rows
+    out = tmp_path / "out"
+    exp1, exp2 = record_dirs["binary_results.jsonl"], record_dirs["localization_results.jsonl"]
+    shutil.copytree(exp1, out)
+    shutil.copytree(exp2, out, dirs_exist_ok=True)
+    assert main(["report", "--in", str(out)]) == EXIT_OK
+    for source in (exp1, exp2):
+        for path in source.iterdir():
+            if path.name != "consistency.csv":
+                assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+    assert (out / "failures.csv").read_bytes() == (exp2 / "failures.csv").read_bytes()
+    header, *rows = (exp1 / "consistency.csv").read_text(encoding="utf-8").splitlines()
+    rows += (exp2 / "consistency.csv").read_text(encoding="utf-8").splitlines()[1:]
+    rows.sort(key=lambda row: tuple(row.split(",")[:2]))
+    assert (out / "consistency.csv").read_text(encoding="utf-8") == "".join(f"{r}\n" for r in [header, *rows])
+
+
+def test_a_localization_records_file_of_two_prompts_exits_2_and_writes_nothing(record_dirs, tmp_path, capsys):
+    # the exp2 P1 and P2 files of one manifest concatenated used to exit 0 with one
+    # P1 summary row of twice the tests, and gave P1's records P2's overlap and recall
+    name = "localization_results.jsonl"
+    root = record_dirs[name].parent
+    p2 = tmp_path / "p2"
+    common = ["--manifest", root / "manifest.jsonl", "--fixture", root / "fixture.json", "--runs", "2"]
+    assert main([*map(str, ["exp2", "--prompt", "P2", *common, "--retries", "0", "--out", p2])]) == EXIT_OK
+    out = tmp_path / "out"
+    shutil.copytree(record_dirs[name], out)
+    with (out / name).open("a", encoding="utf-8") as f:
+        f.write((p2 / name).read_text(encoding="utf-8"))
+    capsys.readouterr()
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main(["report", "--in", str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err == f"fovlink: {name}: records of more than one prompt: P1, P2\n"
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def _rewrite_transcript(out: Path, edit) -> None:
+    """Write each transcript line of ``out`` as ``edit`` gives it from the line's message object."""
+    path = out / "v2v_transcript.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("".join(edit(json.loads(line)) + "\n" for line in lines), encoding="utf-8")
+
+
+def test_a_transcript_string_with_a_lone_surrogate_exits_2_and_writes_nothing(v2v_dir, capsys):
+    # used to decode, then crash the transcript writer with a UnicodeEncodeError
+    def edit(message):
+        if message["msg_type"] == "response":
+            message["payload"]["description"] = "a person\ud800"
+        return json.dumps(message, separators=(",", ":"))  # the surrogate as the escape "\ud800"
+
+    _rewrite_transcript(v2v_dir, edit)
+    before = {p.name: p.read_bytes() for p in v2v_dir.iterdir()}
+    assert main(["report", "--in", str(v2v_dir)]) == EXIT_DATA
+    assert capsys.readouterr().err == "fovlink: v2v_transcript.jsonl line 2: a string holds a lone surrogate\n"
+    assert {p.name: p.read_bytes() for p in v2v_dir.iterdir()} == before
+
+
+def test_a_transcript_line_that_is_not_its_canonical_encoding_exits_2_and_writes_nothing(v2v_dir, capsys):
+    # used to exit 0, rewrite the transcript canonically and take dialogue_bytes
+    # from the old line lengths, so a second report changed v2v_comparison.csv
+    _rewrite_transcript(v2v_dir, lambda message: json.dumps(message, ensure_ascii=False))
+    before = {p.name: p.read_bytes() for p in v2v_dir.iterdir()}
+    assert main(["report", "--in", str(v2v_dir)]) == EXIT_DATA
+    expected = "fovlink: v2v_transcript.jsonl line 1: not the canonical encoding of its message\n"
+    assert capsys.readouterr().err == expected
+    assert {p.name: p.read_bytes() for p in v2v_dir.iterdir()} == before
+
+
+def test_a_transcript_with_crlf_endings_rerenders_as_the_one_with_lf_endings(v2v_dir):
+    # a \r\n ending is read as \n, so the \r counts toward no message's size
+    before = {p.name: p.read_bytes() for p in v2v_dir.iterdir()}
+    path = v2v_dir / "v2v_transcript.jsonl"
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert main(["report", "--in", str(v2v_dir)]) == EXIT_OK
+    assert {p.name: p.read_bytes() for p in v2v_dir.iterdir()} == before
