@@ -71,6 +71,11 @@ class RunResult:
     raw_text: str
     fault: str | None = None
 
+    @property
+    def outcome(self) -> str:
+        """``"fault"``, or the kind of the detection: the record's ``outcome`` field."""
+        return "fault" if self.detection is None else self.detection.kind.value
+
 
 @dataclass(frozen=True, slots=True)
 class ExperimentConfig:
@@ -424,15 +429,12 @@ def run_prompt_comparison(
 
 
 def _outcome_kind(result: RunResult) -> str:
-    if result.fault is not None:
-        return "fault"
-    detection = result.detection
-    assert detection is not None
-    if detection.kind is DetectionKind.VERDICT:
+    outcome, detection = result.outcome, result.detection
+    if outcome == "verdict":
         return f"verdict:{str(detection.verdict).lower()}"
-    if detection.kind is DetectionKind.LOCATED:
-        return "located"
-    return f"failure:{detection.failure_kind.value}"
+    if outcome == "failure":
+        return f"failure:{detection.failure_kind.value}"
+    return outcome
 
 
 def _pairwise_iou(a: NormalizedBBox, b: NormalizedBBox) -> float:
@@ -492,11 +494,7 @@ def failure_lowlight_share(
     Counts distinct scenes whose replies fell into the failure taxonomy; a
     scene missing from ``lowlight`` counts as not low-light.
     """
-    failure_scenes = {
-        r.scene_id
-        for r in results
-        if r.detection is not None and r.detection.kind is DetectionKind.FAILURE
-    }
+    failure_scenes = {r.scene_id for r in results if r.outcome == "failure"}
     if not failure_scenes:
         return None
     return sum(1 for scene_id in failure_scenes if lowlight.get(scene_id)) / len(failure_scenes)

@@ -47,8 +47,6 @@ if TYPE_CHECKING:
 
 QueryKey = tuple[str, str, int]  # (scene_id, prompt_id, run_idx)
 
-FAULT_KINDS = ("timeout", "rate_limit", "transport")
-
 
 @dataclass(frozen=True, slots=True)
 class QueryParams:
@@ -120,6 +118,7 @@ _FAULT_ERRORS = {
     "rate_limit": RateLimitedExhausted,
     "transport": TransportError,
 }
+FAULT_KINDS = tuple(_FAULT_ERRORS)
 
 
 def load_mock_fixture(path: str | Path) -> dict[str, dict]:

@@ -85,12 +85,12 @@ class ParsedDetection:
 
     def __post_init__(self) -> None:
         populated = (self.verdict is not None) + (self.box is not None) + (self.failure_kind is not None)
-        if populated != 1 or getattr(self, _KIND_FIELD[self.kind]) is None:
+        if populated != 1 or getattr(self, KIND_FIELD[self.kind]) is None:
             raise ValueError(f"fields do not match kind {self.kind.value}")
 
 
 # kind -> the one field a detection of that kind populates
-_KIND_FIELD = {
+KIND_FIELD = {
     DetectionKind.VERDICT: "verdict",
     DetectionKind.LOCATED: "box",
     DetectionKind.FAILURE: "failure_kind",

@@ -39,7 +39,7 @@ from .experiments import (
     localization_result,
 )
 from .geometry import NonFiniteInput, NormalizedBBox
-from .parsing import DetectionKind, FailureKind, ParsedDetection, excerpt
+from .parsing import KIND_FIELD, DetectionKind, FailureKind, ParsedDetection, excerpt
 from .stats import STAT_NAMES, LocalizationSummary
 # bench/spans.py traces the statistics under these names
 from .stats import (  # noqa: F401
@@ -54,7 +54,7 @@ RENDER_TARGETS = ("csv", "records", "svg")
 
 # outcome -> the field a record of it is rebuilt from; of these fields, a
 # record sets exactly its outcome's
-_OUTCOME_NEEDS = {"fault": "fault", "verdict": "verdict", "located": "box", "failure": "failure_kind"}
+_OUTCOME_NEEDS = {"fault": "fault", **{kind.value: name for kind, name in KIND_FIELD.items()}}
 # recall and IoU are shares of an area
 _SHARE = Nullable(Rule("must be a number from 0 to 1", lambda v: type(v) in NUMBER and 0 <= v <= 1))
 
@@ -85,7 +85,7 @@ _RECORD_SHAPE = Fields(
 
 RESULT_RECORD_FIELDS = tuple(_RECORD_SHAPE.fields)
 # the record's strings, which the report writes back as UTF-8
-_TEXT_FIELDS = ("scene_id", "prompt_id", "fault", "raw_text")
+_TEXT_FIELDS = tuple(name for name, shape in _RECORD_SHAPE.fields.items() if type(shape) is tuple and str in shape)
 
 # v2v_link.json, the link next to a stored transcript
 _LINK_SHAPE = Fields({"rate_bps": NUMBER, "overhead": NUMBER, "stream_bytes": NON_NEGATIVE_INT})
@@ -149,13 +149,12 @@ def result_to_record(
 ) -> dict:
     """Flat mapping mirroring one RunResult plus its computed metrics."""
     detection = result.detection
-    outcome = "fault" if detection is None else detection.kind.value
     box = detection.box if detection is not None else None
     return {
         "scene_id": result.scene_id,
         "prompt_id": result.prompt_id,
         "run_idx": result.run_idx,
-        "outcome": outcome,
+        "outcome": result.outcome,
         "verdict": None if detection is None else detection.verdict,
         "label": label,
         "scene_lowlight": scene_lowlight,
@@ -314,6 +313,16 @@ def _chart(parts: list[str]) -> str:
     return _lines([*frame, *parts, "</svg>"])
 
 
+# the charts' labels and lines; coordinates come formatted, as an int or a
+# float at two decimals
+def _text(x: int | str, y: int | str, size: int, text: str, anchor: str = "middle") -> str:
+    return f'<text x="{x}" y="{y}" text-anchor="{anchor}" font-size="{size}" font-family="sans-serif">{text}</text>'
+
+
+def _line(x1: int | str, y1: str, x2: int | str, y2: str, stroke: str, width: int = 1) -> str:
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}" stroke-width="{width}"/>'
+
+
 def _recall_boxplot_svg(groups: list[tuple[str, list[float]]]) -> str:
     """Box plot of per-sample recall, one box per prompt."""
     width, height = _CHART_WIDTH, _CHART_HEIGHT
@@ -326,36 +335,22 @@ def _recall_boxplot_svg(groups: list[tuple[str, list[float]]]) -> str:
     parts = []
     for tick in (0.0, 0.25, 0.5, 0.75, 1.0):
         y = y_of(tick)
-        parts.append(
-            f'<line x1="{left}" y1="{y:.2f}" x2="{width - right}" y2="{y:.2f}" '
-            'stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{left - 8}" y="{y + 4:.2f}" text-anchor="end" font-size="11" '
-            f'font-family="sans-serif">{tick * 100:.0f}%</text>'
-        )
+        parts.append(_line(left, f"{y:.2f}", width - right, f"{y:.2f}", "#dddddd"))
+        parts.append(_text(left - 8, f"{y + 4:.2f}", 11, f"{tick * 100:.0f}%", anchor="end"))
     slot = plot_w / max(1, len(groups))
     for i, (label, values) in enumerate(groups):
         cx = left + slot * (i + 0.5)
         if values:
             lo, q1, med, q3, hi = _five_numbers(values)
             half = min(30.0, slot * 0.25)
-            parts.append(
-                f'<line x1="{cx:.2f}" y1="{y_of(lo):.2f}" x2="{cx:.2f}" y2="{y_of(hi):.2f}" '
-                'stroke="#333333" stroke-width="1"/>'
-            )
+            parts.append(_line(f"{cx:.2f}", f"{y_of(lo):.2f}", f"{cx:.2f}", f"{y_of(hi):.2f}", "#333333"))
             parts.append(
                 f'<rect x="{cx - half:.2f}" y="{y_of(q3):.2f}" width="{2 * half:.2f}" '
                 f'height="{max(0.0, y_of(q1) - y_of(q3)):.2f}" fill="#7aa6d2" stroke="#333333"/>'
             )
-            parts.append(
-                f'<line x1="{cx - half:.2f}" y1="{y_of(med):.2f}" x2="{cx + half:.2f}" '
-                f'y2="{y_of(med):.2f}" stroke="#00254d" stroke-width="2"/>'
-            )
-        parts.append(
-            f'<text x="{cx:.2f}" y="{height - bottom + 18}" text-anchor="middle" '
-            f'font-size="12" font-family="sans-serif">{label}</text>'
-        )
+            y_med = f"{y_of(med):.2f}"
+            parts.append(_line(f"{cx - half:.2f}", y_med, f"{cx + half:.2f}", y_med, "#00254d", width=2))
+        parts.append(_text(f"{cx:.2f}", height - bottom + 18, 12, label))
     return _chart(parts)
 
 
@@ -380,18 +375,9 @@ def _iou_share_svg(ious: list[float]) -> str:
             f'<rect x="{x + 2:.2f}" y="{top + plot_h - bar_h:.2f}" width="{slot - 4:.2f}" '
             f'height="{bar_h:.2f}" fill="#d2937a" stroke="#333333"/>'
         )
-        parts.append(
-            f'<text x="{x + slot / 2:.2f}" y="{top + plot_h - bar_h - 4:.2f}" text-anchor="middle" '
-            f'font-size="10" font-family="sans-serif">{share * 100:.2f}%</text>'
-        )
-        parts.append(
-            f'<text x="{x + slot / 2:.2f}" y="{height - bottom + 16}" text-anchor="middle" '
-            f'font-size="9" font-family="sans-serif">{i / 10:.1f}-{(i + 1) / 10:.1f}</text>'
-        )
-    parts.append(
-        f'<text x="{left + plot_w / 2:.2f}" y="{height - 8}" text-anchor="middle" '
-        'font-size="11" font-family="sans-serif">IoU bucket (overlapping tests)</text>'
-    )
+        parts.append(_text(f"{x + slot / 2:.2f}", f"{top + plot_h - bar_h - 4:.2f}", 10, f"{share * 100:.2f}%"))
+        parts.append(_text(f"{x + slot / 2:.2f}", height - bottom + 16, 9, f"{i / 10:.1f}-{(i + 1) / 10:.1f}"))
+    parts.append(_text(f"{left + plot_w / 2:.2f}", height - 8, 11, "IoU bucket (overlapping tests)"))
     return _chart(parts)
 
 
@@ -469,14 +455,18 @@ def _outputs(bundle: ReportBundle) -> list[_Output]:
 def emit_report(bundle: ReportBundle, targets, out_dir: str | Path) -> list[Path]:
     """Render every present bundle component to the requested targets.
 
-    Returns the written paths (sorted). Empty components produce
-    header-only CSVs and no chart.
+    Returns the written paths (sorted); empty parts give header-only CSVs
+    and no chart, and parts that would write one file twice write nothing.
     """
     resolved = normalize_targets(targets)
+    outputs = _outputs(bundle)
+    names = Counter(name for _, name, _ in outputs)
+    if len(names) < len(outputs):
+        raise ReportError(f"two parts of the report would write {names.most_common(1)[0][0]}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    for target, name, render in _outputs(bundle):
+    for target, name, render in outputs:
         if target in resolved:
             path = out / name
             path.write_text(render(), encoding="utf-8", newline="")
@@ -555,7 +545,7 @@ def _checked_rows(rows: list[_Row], part: str, name: str, facts: dict[str, tuple
             if sample is not None:
                 raise ReportError(f"{name}: scene {scene_id!r} has overlap, recall and iou")
             continue
-        kind = "fault" if result.detection is None else result.detection.kind.value
+        kind = result.outcome
         if (sample is None) is (kind in ("located", "failure")):
             problem = f"{'without' if sample is None else 'with'} overlap, recall and iou"
         elif kind == "failure" and (sample.overlap, sample.recall, sample.iou) != (False, 0, 0):

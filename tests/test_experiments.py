@@ -16,6 +16,7 @@ from fovlink.experiments import (
     ExperimentConfig,
     ExperimentPrecondition,
     InsufficientRuns,
+    RunResult,
     analyze_run_consistency,
     failure_lowlight_share,
     lowlight_by_scene,
@@ -25,9 +26,9 @@ from fovlink.experiments import (
     run_prompt_comparison,
 )
 from fovlink.gateway import Gateway, LiveBackend, MockBackend, QueryParams, _BackendFault, build_chat_request
-from fovlink.parsing import FailureKind
+from fovlink.parsing import FailureKind, detect_bbox, detect_binary
 from fovlink.prompts import get_prompt
-from fovlink.report import ReportBundle, emit_report
+from fovlink.report import ReportBundle, emit_report, result_to_record
 
 from conftest import LoopbackServer, completion_reply, http_reply, scene_line, script_key, write_manifest
 
@@ -672,3 +673,21 @@ class TestSlotLending:
         _, backend = self.run(tmp_path, 1)
         assert {thread for _, thread, _, _ in backend.calls} == {threading.get_ident()}
         assert backend.peak == 1
+
+
+@pytest.mark.parametrize(
+    "detection, outcome",
+    [
+        (None, "fault"),
+        (detect_binary("yes"), "verdict"),
+        (detect_bbox(GT_TEMPLATE), "located"),
+        (detect_bbox(NO_PED_REPLY), "failure"),
+    ],
+)
+def test_a_result_names_its_outcome_as_its_record_does(detection, outcome):
+    fault = "TransportError: down" if detection is None else None
+    result = RunResult(
+        scene_id="s", prompt_id="P1", run_idx=0, detection=detection, latency=0.0, raw_text="", fault=fault
+    )
+    assert result.outcome == outcome
+    assert result_to_record(result)["outcome"] == outcome

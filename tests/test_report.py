@@ -22,6 +22,9 @@ from fovlink.dataset import load_manifest
 from fovlink.experiments import (
     BinaryExperimentResult,
     ExperimentConfig,
+    LocalizationExperimentResult,
+    LocalizationSample,
+    PromptComparison,
     RunResult,
     analyze_run_consistency,
     run_binary_experiment,
@@ -903,6 +906,35 @@ def test_a_directory_of_several_parts_rerenders_each_part_as_its_run_wrote_it(re
     assert (out / "consistency.csv").read_text(encoding="utf-8") == "".join(f"{r}\n" for r in [header, *rows])
 
 
+def _comparison_dir(record_dirs, tmp_path, prompts: str) -> Path:
+    """exp3 output of ``prompts`` over the manifest of ``record_dirs``; P3 replies as P2 does."""
+    if prompts == "P1,P2":
+        return record_dirs["comparison_results.jsonl"]
+    root = record_dirs["comparison_results.jsonl"].parent
+    script = json.loads((root / "fixture.json").read_text(encoding="utf-8"))
+    script.update({key.replace("|P2|", "|P3|"): entry for key, entry in script.items() if "|P2|" in key})
+    fixture = write_fixture(tmp_path, script)
+    common = ["--manifest", root / "manifest.jsonl", "--fixture", fixture, "--runs", "2", "--retries", "0"]
+    out = tmp_path / "exp3"
+    assert main([*map(str, ["exp3", "--prompts", prompts, *common, "--out", out])]) == EXIT_OK
+    return out
+
+
+@pytest.mark.parametrize("prompts", ["P1,P2", "P2,P3"])
+def test_exp2_and_exp3_in_one_directory_exit_2_and_write_nothing(record_dirs, tmp_path, capsys, prompts):
+    # both runs write recall_distribution.svg and iou_shares.svg; the report used to
+    # exit 0, keep only exp3's charts and, with P1 in both, give P1 n_runs 4 at --runs 2
+    exp3 = _comparison_dir(record_dirs, tmp_path, prompts)
+    out = tmp_path / "out"
+    for source in (record_dirs["localization_results.jsonl"], exp3):
+        shutil.copytree(source, out, dirs_exist_ok=True)
+    capsys.readouterr()
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main(["report", "--in", str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err == "fovlink: two parts of the report would write recall_distribution.svg\n"
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_a_localization_records_file_of_two_prompts_exits_2_and_writes_nothing(record_dirs, tmp_path, capsys):
     # the exp2 P1 and P2 files of one manifest concatenated used to exit 0 with one
     # P1 summary row of twice the tests, and gave P1's records P2's overlap and recall
@@ -961,3 +993,27 @@ def test_a_transcript_with_crlf_endings_rerenders_as_the_one_with_lf_endings(v2v
     path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
     assert main(["report", "--in", str(v2v_dir)]) == EXIT_OK
     assert {p.name: p.read_bytes() for p in v2v_dir.iterdir()} == before
+
+
+def _chart_bundle() -> ReportBundle:
+    """A three-prompt comparison: P1 with a spread of samples, P2 with one sample, P3 with none."""
+
+    def run(scored: list[tuple[float, float]]) -> LocalizationExperimentResult:
+        samples = tuple(
+            LocalizationSample(scene_id=f"s{i}", run_idx=0, overlap=iou > 0, recall=recall, iou=iou)
+            for i, (recall, iou) in enumerate(scored)
+        )
+        return LocalizationExperimentResult(results=(), samples=samples, summary=None)  # no chart draws it
+
+    p1 = [(1.0, 1.0), (0.0, 0.0), (0.25, 0.05), (0.5, 0.1), (0.5, 0.35), (0.8, 0.55), (0.9, 0.95), (0.007, 0.999)]
+    runs = {"P1": run(p1), "P2": run([(0.6, 0.45)]), "P3": run([])}
+    return ReportBundle(comparison=PromptComparison(prompt_ids=("P1", "P2", "P3"), runs=runs))
+
+
+@pytest.mark.parametrize("name", ["recall_distribution.svg", "iou_shares.svg"])
+def test_chart_bytes_match_the_golden_file(tmp_path, name):
+    # no other test pins chart bytes: the acceptance suite compares a run only with itself;
+    # P1's box height (165.30) is taken from unrounded quartiles, rounded ones give 165.29
+    emit_report(_chart_bundle(), ["svg"], tmp_path)
+    golden = Path(__file__).parent / "data" / "charts" / name
+    assert (tmp_path / name).read_bytes() == golden.read_bytes()
