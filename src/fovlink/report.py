@@ -10,19 +10,29 @@ Each CSV header row starts with a versioned schema tag naming the label
 column; the column set behind a tag is closed, any added column bumps
 the version. Exact field names are documented in docs/schemas.md.
 
-Re-rendering checks each result record on its own (``record_to_result``)
-and then each records file as a whole (``_checked_rows``). ``statistics``
-is imported by the box-plot quartiles and ``logging`` by the empty-bundle
-warning, so a process that needs neither loads neither.
+Every file is written whole or not at all: its text goes, in chunks of at
+most ``_BATCH`` records, to a sibling ``.part`` file that replaces the
+previous file only once its last chunk is written. A records file is
+never held whole in memory, on the way out or on the way back in. CSV
+cells that hold a comma, a quote or a line break are quoted (RFC 4180),
+and chart labels are XML-escaped.
+
+Re-rendering reads each records file line by line, checks each result
+record on its own (``record_to_result``) and then each records file as a
+whole (``_checked_rows``). ``statistics`` is imported by the box-plot
+quartiles and ``logging`` by the empty-bundle warning, so a process that
+needs neither loads neither.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .errors import FovlinkError
 from .experiments import (
@@ -99,8 +109,12 @@ _LINK_FILE = "v2v_link.json"
 _LOCALIZATION_FILES = ("localization_summary.csv", "localization_results.jsonl")
 _COMPARISON_FILES = ("prompt_comparison.csv", "comparison_results.jsonl")
 
-# (render target, file name, render) of one output file
-_Output = tuple[str, str, Callable[[], str]]
+# records per chunk of a records file: large enough that each write is
+# cheap, small enough that no file is held whole
+_BATCH = 256
+
+# (render target, file name, render: the file's text in chunks) of one output file
+_Output = tuple[str, str, Callable[[], Iterable[str]]]
 # (result, sample, label, scene_lowlight) of one decoded result record
 _Row = tuple[RunResult, LocalizationSample | None, bool | None, bool | None]
 
@@ -230,6 +244,20 @@ def _json_lines(records) -> str:
     return _lines(COMPACT_JSON.encode(r) for r in records)
 
 
+def _json_chunks(records: Iterable[dict]) -> Iterator[str]:
+    """``_json_lines`` of ``records``, ``_BATCH`` records at a time."""
+    records = iter(records)
+    while batch := list(islice(records, _BATCH)):
+        yield _json_lines(batch)
+
+
+def _cell(text: str) -> str:
+    """``text`` as one CSV cell: quoted, inner quotes doubled, if it holds a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _stats_csv(binary: BinaryExperimentResult) -> str:
     header = "detection_stats_v1,tp,fn,fp,tn," + ",".join(f"{n}_pct" for n in STAT_NAMES)
     rows = [header]
@@ -257,7 +285,7 @@ def _summary_csv(rows: list[tuple[str, LocalizationSummary]]) -> str:
     lines = [",".join(["localization_summary_v1", *_SUMMARY_COUNTS, *(f"{n}_pct" for n in _SUMMARY_SHARES)])]
     for label, s in rows:
         counts = (str(getattr(s, n)) for n in _SUMMARY_COUNTS)
-        lines.append(",".join([label, *counts, *(_pct(getattr(s, n)) for n in _SUMMARY_SHARES)]))
+        lines.append(",".join([_cell(label), *counts, *(_pct(getattr(s, n)) for n in _SUMMARY_SHARES)]))
     return _lines(lines)
 
 
@@ -272,9 +300,8 @@ def _consistency_csv(records: list[ConsistencyRecord]) -> str:
     lines = ["consistency_v1,prompt_id,n_runs,kinds,min_pairwise_iou,flagged"]
     for r in records:
         min_iou = "" if r.min_pairwise_iou is None else f"{r.min_pairwise_iou:.4f}"
-        lines.append(
-            f"{r.scene_id},{r.prompt_id},{r.n_runs},{'|'.join(r.kinds)},{min_iou},{str(r.flagged).lower()}"
-        )
+        ids = f"{_cell(r.scene_id)},{_cell(r.prompt_id)}"
+        lines.append(f"{ids},{r.n_runs},{'|'.join(r.kinds)},{min_iou},{str(r.flagged).lower()}")
     return _lines(lines)
 
 
@@ -316,7 +343,8 @@ def _chart(parts: list[str]) -> str:
 # the charts' labels and lines; coordinates come formatted, as an int or a
 # float at two decimals
 def _text(x: int | str, y: int | str, size: int, text: str, anchor: str = "middle") -> str:
-    return f'<text x="{x}" y="{y}" text-anchor="{anchor}" font-size="{size}" font-family="sans-serif">{text}</text>'
+    escaped = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return f'<text x="{x}" y="{y}" text-anchor="{anchor}" font-size="{size}" font-family="sans-serif">{escaped}</text>'
 
 
 def _line(x1: int | str, y1: str, x2: int | str, y2: str, stroke: str, width: int = 1) -> str:
@@ -385,18 +413,16 @@ def _records(
     results: tuple[RunResult, ...],
     bundle: ReportBundle,
     samples: tuple[LocalizationSample, ...] = (),
-) -> list[dict]:
+) -> Iterator[dict]:
     sample_by_key = {(s.scene_id, s.run_idx): s for s in samples}
     labels, lowlight = bundle.labels or {}, bundle.lowlight or {}
-    return [
-        result_to_record(
+    for r in results:
+        yield result_to_record(
             r,
             sample_by_key.get((r.scene_id, r.run_idx)),
             labels.get(r.scene_id),
             lowlight.get(r.scene_id),
         )
-        for r in results
-    ]
 
 
 def _localization_outputs(
@@ -408,17 +434,17 @@ def _localization_outputs(
     groups = [(pid, [s.recall for s in run.samples]) for pid, run in zip(comparison.prompt_ids, runs)]
     overlapping = [s.iou for run in runs for s in run.samples if s.overlap]
     outputs: list[_Output] = [
-        ("csv", summary_name, lambda: _summary_csv(comparison.summary_table())),
+        ("csv", summary_name, lambda: [_summary_csv(comparison.summary_table())]),
         (
             "records",
             records_name,
-            lambda: _json_lines(r for run in runs for r in _records(run.results, bundle, run.samples)),
+            lambda: _json_chunks(r for run in runs for r in _records(run.results, bundle, run.samples)),
         ),
     ]
     if any(values for _, values in groups):
-        outputs.append(("svg", "recall_distribution.svg", lambda: _recall_boxplot_svg(groups)))
+        outputs.append(("svg", "recall_distribution.svg", lambda: [_recall_boxplot_svg(groups)]))
     if overlapping:
-        outputs.append(("svg", "iou_shares.svg", lambda: _iou_share_svg(overlapping)))
+        outputs.append(("svg", "iou_shares.svg", lambda: [_iou_share_svg(overlapping)]))
     return outputs
 
 
@@ -428,28 +454,40 @@ def _outputs(bundle: ReportBundle) -> list[_Output]:
     binary, loc, transcript = bundle.binary, bundle.localization, bundle.transcript
     if binary is not None:
         outputs += [
-            ("csv", "detection_stats.csv", lambda: _stats_csv(binary)),
-            ("records", _BINARY_RECORDS, lambda: _json_lines(_records(binary.results, bundle))),
+            ("csv", "detection_stats.csv", lambda: [_stats_csv(binary)]),
+            ("records", _BINARY_RECORDS, lambda: _json_chunks(_records(binary.results, bundle))),
         ]
     if loc is not None:
         # exp2 is a prompt comparison over its one prompt
         prompt_id = loc.results[0].prompt_id if loc.results else "P?"
         single = PromptComparison(prompt_ids=(prompt_id,), runs={prompt_id: loc})
         outputs += _localization_outputs(single, _LOCALIZATION_FILES, bundle)
-        outputs.append(("csv", "failures.csv", lambda: _failures_csv(loc.samples, bundle.lowlight_share)))
+        outputs.append(("csv", "failures.csv", lambda: [_failures_csv(loc.samples, bundle.lowlight_share)]))
     if bundle.comparison is not None:
         outputs += _localization_outputs(bundle.comparison, _COMPARISON_FILES, bundle)
     if bundle.consistency is not None:
-        outputs.append(("csv", "consistency.csv", lambda: _consistency_csv(bundle.consistency)))
+        outputs.append(("csv", "consistency.csv", lambda: [_consistency_csv(bundle.consistency)]))
     if transcript is not None:
         link, messages = transcript.link, transcript.messages
         meta = {"rate_bps": link.rate, "overhead": link.overhead, "stream_bytes": transcript.stream_bytes}
         outputs += [
-            ("records", _TRANSCRIPT_FILE, lambda: _lines(encode_message(m).decode() for m in messages)),
-            ("records", _LINK_FILE, lambda: _json_lines([meta])),
-            ("csv", "v2v_comparison.csv", lambda: _transport_csv(transcript)),
+            ("records", _TRANSCRIPT_FILE, lambda: [_lines(encode_message(m).decode() for m in messages)]),
+            ("records", _LINK_FILE, lambda: [_json_lines([meta])]),
+            ("csv", "v2v_comparison.csv", lambda: [_transport_csv(transcript)]),
         ]
     return outputs
+
+
+def _write(path: Path, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` to ``path`` through a sibling temporary, so a failed write leaves the previous file."""
+    part = path.with_name(f".{path.name}.part")
+    try:
+        with open(part, "w", encoding="utf-8", newline="") as f:
+            f.writelines(chunks)
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
 
 
 def emit_report(bundle: ReportBundle, targets, out_dir: str | Path) -> list[Path]:
@@ -457,6 +495,7 @@ def emit_report(bundle: ReportBundle, targets, out_dir: str | Path) -> list[Path
 
     Returns the written paths (sorted); empty parts give header-only CSVs
     and no chart, and parts that would write one file twice write nothing.
+    Each file is replaced whole (``_write``).
     """
     resolved = normalize_targets(targets)
     outputs = _outputs(bundle)
@@ -469,7 +508,7 @@ def emit_report(bundle: ReportBundle, targets, out_dir: str | Path) -> list[Path
     for target, name, render in outputs:
         if target in resolved:
             path = out / name
-            path.write_text(render(), encoding="utf-8", newline="")
+            _write(path, render())
             written.append(path)
     if not written:
         import logging
@@ -479,18 +518,31 @@ def emit_report(bundle: ReportBundle, targets, out_dir: str | Path) -> list[Path
 
 
 def _read_lines(path: Path, decode: Callable[[str], object]) -> list:
-    """``decode`` of each non-blank line of ``path``; a decode error names the file and line."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as e:
-        raise ReportError(f"{path.name} is not UTF-8: {e}") from e
+    """``decode`` of each non-blank line of ``path``; a decode error names the file and line.
+
+    The file is read one line at a time, with universal newlines as ``read_text`` reads it. It is
+    decoded a block of a few KB at a time, so a malformed line in a block before the one holding
+    bytes that are not UTF-8 is reported first.
+    """
     decoded = []
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        if line.strip():
-            try:
-                decoded.append(decode(line))
-            except FovlinkError as e:
-                raise ReportError(f"{path.name} line {line_no}: {e}") from e
+    try:
+        with open(path, encoding="utf-8") as f:
+            for line_no, line in enumerate(f, start=1):
+                if line.strip():
+                    try:
+                        decoded.append(decode(line.removesuffix("\n")))
+                    except FovlinkError as e:
+                        raise ReportError(f"{path.name} line {line_no}: {e}") from e
+    except UnicodeDecodeError as e:
+        # the reader decodes a block at a time, so its error counts the bad byte from the
+        # block's start; decoding the whole file gives its position in the file
+        with open(path, "rb") as f:
+            data = f.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as whole:
+            e = whole
+        raise ReportError(f"{path.name} is not UTF-8: {e}") from e
     return decoded
 
 

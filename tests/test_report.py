@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -10,7 +11,10 @@ import signal
 import subprocess
 import sys
 import tempfile
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +42,8 @@ from fovlink.report import (
     RESULT_RECORD_FIELDS,
     ReportBundle,
     ReportError,
+    _decode_record,
+    _read_lines,
     emit_report,
     normalize_targets,
     record_to_result,
@@ -1017,3 +1023,126 @@ def test_chart_bytes_match_the_golden_file(tmp_path, name):
     emit_report(_chart_bundle(), ["svg"], tmp_path)
     golden = Path(__file__).parent / "data" / "charts" / name
     assert (tmp_path / name).read_bytes() == golden.read_bytes()
+
+
+def _id_cells_csv_run(tmp_path: Path) -> Path:
+    """exp2 at --runs 2 over scenes whose ids hold a comma, a quote and a line break."""
+    scenes = ["a,b", 'say "hi"', "two\nlines", "plain"]
+    records = [scene_line(s, positive=True, image_path=f"images/s{i}.jpg") for i, s in enumerate(scenes)]
+    manifest = write_manifest(tmp_path, records)
+    fixture = write_fixture(tmp_path, localization_script(load_manifest(manifest), GT_TEMPLATE, runs=2))
+    out = tmp_path / "out"
+    argv = ["exp2", "--manifest", manifest, "--fixture", fixture, "--runs", "2", "--out", out]
+    assert main([*map(str, argv)]) == EXIT_OK
+    return out
+
+
+def test_csv_cells_that_hold_a_comma_quote_or_line_break_are_quoted(tmp_path):
+    # a scene id "a,b" used to write a row of 7 cells under the 6-column consistency header
+    out = _id_cells_csv_run(tmp_path)
+    with open(out / "consistency.csv", newline="", encoding="utf-8") as f:
+        rows = list(csv.reader(f))
+    assert {len(row) for row in rows} == {6}
+    assert sorted(row[0] for row in rows[1:]) == sorted(["a,b", 'say "hi"', "two\nlines", "plain"])
+    text = (out / "consistency.csv").read_text(encoding="utf-8")
+    assert '\n"a,b",P1,2,' in text and '\n"say ""hi""",P1,2,' in text and "\nplain,P1,2," in text
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main(["report", "--in", str(out)]) == EXIT_OK
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_summary_csv_quotes_a_prompt_label(tmp_path):
+    summary = make_localization_bundle(write_manifest(tmp_path, [scene_line("pos_a", positive=True)]))
+    results = tuple(replace(r, prompt_id="P,1") for r in summary.localization.results)
+    single = replace(summary.localization, results=results)
+    emit_report(ReportBundle(localization=single), ["csv"], tmp_path / "out")
+    rows = (tmp_path / "out" / "localization_summary.csv").read_text(encoding="utf-8").splitlines()
+    assert rows[1].startswith('"P,1",')
+
+
+def test_chart_labels_are_xml_escaped(record_dirs, tmp_path):
+    # a prompt id "P&1" used to give a recall_distribution.svg no XML parser reads
+    out = tmp_path / "out"
+    shutil.copytree(record_dirs["comparison_results.jsonl"], out)
+    renamed = {"P1": "P&1", "P2": "P<2"}
+
+    def rename(records):
+        for r in records:
+            r["prompt_id"] = renamed[r["prompt_id"]]
+
+    _rewrite(out, "comparison_results.jsonl", rename)
+    assert main(["report", "--in", str(out)]) == EXIT_OK
+    svg_text = "{http://www.w3.org/2000/svg}text"
+    labels = [t.text for t in ElementTree.parse(out / "recall_distribution.svg").iter(svg_text)]
+    assert labels[-2:] == ["P&1", "P<2"]
+    ElementTree.parse(out / "iou_shares.svg")
+
+
+def test_a_failed_write_keeps_the_previous_file_and_leaves_no_temporary(small_manifest, tmp_path):
+    # the file used to be truncated before its text was encoded, so it was left empty
+    bundle = make_binary_bundle(small_manifest)
+    out = tmp_path / "out"
+    emit_report(bundle, ["csv", "records"], out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    first, *rest = bundle.binary.results
+    bad = replace(bundle, binary=replace(bundle.binary, results=(replace(first, raw_text="yes \ud800"), *rest)))
+    with pytest.raises(UnicodeEncodeError):
+        emit_report(bad, ["csv", "records"], out)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def _binary_records_bundle(n: int) -> ReportBundle:
+    """A records-only binary bundle of ``n`` results, one per scene."""
+    detection = ParsedDetection(kind=DetectionKind.VERDICT, verdict=True, raw_excerpt="yes")
+    reply = "Yes, a pedestrian is partly hidden by the parked van. " * 3
+    results = tuple(RunResult(f"scene_{i:05d}", "BIN", 0, detection, 0.0, reply) for i in range(n))
+    binary = BinaryExperimentResult(results=results, matrix=None, stats=None, per_run_matrices=(), per_run_stats=())
+    labels = {r.scene_id: True for r in results}
+    return ReportBundle(binary=binary, labels=labels, lowlight={s: False for s in labels})
+
+
+def _peak_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_emitting_records_takes_memory_that_does_not_grow_with_their_number(tmp_path):
+    # the whole records file used to be built as one string: 2.2 MB of peak at 2,000 results, 17.9 MB at 16,000
+    small, large = _binary_records_bundle(2_000), _binary_records_bundle(16_000)
+    small_peak = _peak_bytes(lambda: emit_report(small, ["records"], tmp_path / "small"))
+    large_peak = _peak_bytes(lambda: emit_report(large, ["records"], tmp_path / "large"))
+    assert (tmp_path / "large" / "binary_results.jsonl").stat().st_size > 4_000_000
+    assert large_peak < 1.5 * small_peak
+
+
+def test_reading_a_records_file_holds_one_line_at_a_time(tmp_path):
+    # the whole text and the list of its lines used to be held at once
+    path = tmp_path / "binary_results.jsonl"
+    path.write_text("".join(f'{{"scene_id":"scene_{i:05d}","padding":"{"x" * 280}"}}\n' for i in range(16_000)))
+    size = path.stat().st_size
+    assert size > 4_000_000
+    peak = _peak_bytes(lambda: _read_lines(path, lambda line: None))
+    assert peak < size / 4
+
+
+def test_a_records_file_that_is_not_utf8_names_the_bad_byte_by_its_position_in_the_file(tmp_path):
+    # read a block at a time, the error would count from the start of the block holding the byte
+    path = tmp_path / "binary_results.jsonl"
+    head = "".join(f'{{"scene_id":"scene_{i:04d}"}}\n' for i in range(5_000)).encode()
+    path.write_bytes(head + b'{"scene_id":"\xff"}\n')
+    offset = len(head) + len(b'{"scene_id":"')
+    assert offset > 10 * 8192
+    with pytest.raises(ReportError, match=rf"^binary_results\.jsonl is not UTF-8: .* in position {offset}: "):
+        _read_lines(path, lambda line: None)
+
+
+def test_a_malformed_line_blocks_before_a_byte_that_is_not_utf8_is_reported_first(tmp_path):
+    path = tmp_path / "binary_results.jsonl"
+    head = "not json\n" + "".join(f'{{"scene_id":"scene_{i:04d}"}}\n' for i in range(5_000))
+    path.write_bytes(head.encode() + b'{"scene_id":"\xff"}\n')
+    with pytest.raises(ReportError, match=r"^binary_results\.jsonl line 1: invalid JSON"):
+        _read_lines(path, _decode_record)
