@@ -8,8 +8,10 @@ entry, counts as a data error (2), not a backend failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
+from threading import TIMEOUT_MAX
 
 from .dataset import load_manifest
 from .errors import FovlinkError
@@ -61,6 +63,9 @@ def _bounded(convert, rule: str, ok):
 
 
 _AT_LEAST_ONE = _bounded(int, ">= 1", lambda v: v >= 1)
+# the bounds of QueryParams: a socket timeout longer than TIMEOUT_MAX overflows
+_TEMPERATURE = _bounded(float, "finite and >= 0", lambda v: 0 <= v < math.inf)
+_TIMEOUT = _bounded(float, f"> 0 and <= {TIMEOUT_MAX}", lambda v: 0 < v <= TIMEOUT_MAX)
 _PROMPT_IDS = _bounded(
     lambda text: tuple(p.strip() for p in text.split(",") if p.strip()),
     "comma-separated prompt ids, each named once",
@@ -118,10 +123,9 @@ def _build_parser() -> _Parser:
     shared.add_argument("--backend", choices=("live", "mock"), default="mock")
     shared.add_argument("--fixture", type=Path, help="mock reply script (JSON)")
     shared.add_argument("--model", default="gpt-4o", help="model name for live mode")
-    shared.add_argument("--parallelism", type=_AT_LEAST_ONE, default=1)
     shared.add_argument("--max-tokens", type=_AT_LEAST_ONE, default=300)
-    shared.add_argument("--temperature", type=_bounded(float, ">= 0", lambda v: v >= 0), default=0.0)
-    shared.add_argument("--timeout", type=_bounded(float, "> 0", lambda v: v > 0), default=60.0)
+    shared.add_argument("--temperature", type=_TEMPERATURE, default=0.0)
+    shared.add_argument("--timeout", type=_TIMEOUT, default=60.0)
     shared.add_argument("--retries", type=_bounded(int, ">= 0", lambda v: v >= 0), default=2)
     shared.add_argument("--manifest", type=Path, required=True)
     shared.add_argument("--out", type=Path, required=True)
@@ -132,6 +136,7 @@ def _build_parser() -> _Parser:
         experiment = sub.add_parser(name, parents=[shared], help=help_text)
         experiment.add_argument(flag, dest="prompt", **prompt_kwargs)
         experiment.add_argument("--runs", type=_AT_LEAST_ONE, default=3)
+        experiment.add_argument("--parallelism", type=_AT_LEAST_ONE, default=1)
 
     # --scenario first, so a usage error lists the missing flags in the same order as before
     scenario = argparse.ArgumentParser(add_help=False)

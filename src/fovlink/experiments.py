@@ -136,8 +136,14 @@ class ConsistencyRecord:
     prompt_id: str
     n_runs: int
     kinds: tuple[str, ...]
-    min_pairwise_iou: float | None
-    flagged: bool
+    min_pairwise_iou: float | None  # boxes only: None unless every run located one
+
+    @property
+    def flagged(self) -> bool:
+        """The runs mix outcome kinds, or two of their boxes overlap below ``CONSISTENCY_IOU_THRESHOLD``."""
+        if self.min_pairwise_iou is None:
+            return len(self.kinds) > 1
+        return self.min_pairwise_iou < CONSISTENCY_IOU_THRESHOLD
 
 
 def query_detection(
@@ -465,9 +471,6 @@ def analyze_run_consistency(results: list[RunResult] | tuple[RunResult, ...]) ->
         if kinds == ("located",):
             boxes = [r.detection.box for r in rs]
             min_iou = min(_pairwise_iou(a, b) for a, b in combinations(boxes, 2))
-            flagged = min_iou < CONSISTENCY_IOU_THRESHOLD
-        else:
-            flagged = len(kinds) > 1
         records.append(
             ConsistencyRecord(
                 scene_id=scene_id,
@@ -475,7 +478,6 @@ def analyze_run_consistency(results: list[RunResult] | tuple[RunResult, ...]) ->
                 n_runs=len(rs),
                 kinds=kinds,
                 min_pairwise_iou=min_iou,
-                flagged=flagged,
             )
         )
     return records

@@ -32,10 +32,12 @@ from __future__ import annotations
 import base64
 import copy
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from threading import TIMEOUT_MAX
 from typing import TYPE_CHECKING
 
 from .dataset import FrameBytes
@@ -58,14 +60,17 @@ class QueryParams:
     backoff_base: float = 0.5
 
     def __post_init__(self) -> None:
+        # a socket timeout or a sleep longer than TIMEOUT_MAX overflows
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not 0 < self.timeout <= TIMEOUT_MAX:
+            raise ValueError(f"timeout must be positive and at most {TIMEOUT_MAX} s")
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError("temperature must be finite and >= 0")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
+        if not 0 <= self.backoff_base <= TIMEOUT_MAX:
+            raise ValueError(f"backoff_base must be from 0 to {TIMEOUT_MAX} s")
 
 
 @dataclass(frozen=True, slots=True)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -271,14 +271,7 @@ def _stats_csv(binary: BinaryExperimentResult) -> str:
 # LocalizationSummary fields of localization_summary.csv: the counts, then
 # the shares, each in a column named after it plus "_pct"
 _SUMMARY_COUNTS = ("n_tests", "n_overlapping")
-_SUMMARY_SHARES = (
-    "union_rate",
-    "recall_mean_overlapping",
-    "recall_std_overlapping",
-    "recall_mean_all",
-    "recall_std_all",
-    "iou_mean_overlapping",
-)
+_SUMMARY_SHARES = tuple(f.name for f in fields(LocalizationSummary) if f.name not in _SUMMARY_COUNTS)
 
 
 def _summary_csv(rows: list[tuple[str, LocalizationSummary]]) -> str:
@@ -428,7 +421,10 @@ def _records(
 def _localization_outputs(
     comparison: PromptComparison, files: tuple[str, str], bundle: ReportBundle
 ) -> list[_Output]:
-    """Summary CSV, records and charts of localization runs, one per prompt."""
+    """Summary CSV, records and charts of localization runs, one per prompt, which must be named once."""
+    named = Counter(comparison.prompt_ids)
+    if len(named) < len(comparison.prompt_ids):
+        raise ReportError(f"the prompt comparison names prompt {named.most_common(1)[0][0]} twice")
     summary_name, records_name = files
     runs = [comparison.runs[pid] for pid in comparison.prompt_ids]
     groups = [(pid, [s.recall for s in run.samples]) for pid, run in zip(comparison.prompt_ids, runs)]
@@ -494,7 +490,8 @@ def emit_report(bundle: ReportBundle, targets, out_dir: str | Path) -> list[Path
     """Render every present bundle component to the requested targets.
 
     Returns the written paths (sorted); empty parts give header-only CSVs
-    and no chart, and parts that would write one file twice write nothing.
+    and no chart, and parts that would write one file twice, or a
+    comparison that names a prompt twice, write nothing.
     Each file is replaced whole (``_write``).
     """
     resolved = normalize_targets(targets)

@@ -10,22 +10,9 @@ unambiguous).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import FovlinkError
-
-STAT_NAMES = (
-    "recall",
-    "specificity",
-    "precision",
-    "npv",
-    "fpr",
-    "fdr",
-    "fnr",
-    "accuracy",
-    "f1",
-    "mcc",
-)
 
 
 class StatsError(FovlinkError):
@@ -77,8 +64,19 @@ class ConfusionMatrix:
         return self.tp + self.fn_ + self.fp + self.tn
 
 
+class _Figures:
+    """Base of a dataclass of figures, each field one figure; None marks one that is undefined."""
+
+    __slots__ = ()
+
+    @property
+    def undefined(self) -> tuple[str, ...]:
+        """The names of the fields that are None, in field order."""
+        return tuple(f.name for f in fields(self) if getattr(self, f.name) is None)
+
+
 @dataclass(frozen=True, slots=True)
-class DetectionStats:
+class DetectionStats(_Figures):
     """The ten classification statistics; None marks an undefined value.
 
     ``undefined`` lists the names whose denominator was zero. Undefined
@@ -96,7 +94,6 @@ class DetectionStats:
     accuracy: float | None
     f1: float | None
     mcc: float | None
-    undefined: tuple[str, ...] = ()
 
     def require(self, name: str) -> float:
         """Value of ``name``, raising UndefinedStatistic when it has none."""
@@ -108,8 +105,11 @@ class DetectionStats:
         return value
 
 
+STAT_NAMES = tuple(f.name for f in fields(DetectionStats))
+
+
 @dataclass(frozen=True, slots=True)
-class LocalizationSummary:
+class LocalizationSummary(_Figures):
     """Aggregates over localization samples.
 
     Overlapping-only aggregates are None (and listed in ``undefined``)
@@ -125,7 +125,6 @@ class LocalizationSummary:
     iou_mean_overlapping: float | None
     n_tests: int
     n_overlapping: int
-    undefined: tuple[str, ...] = ()
 
 
 def build_confusion_matrix(
@@ -188,18 +187,17 @@ def derive_detection_stats(cm: ConfusionMatrix) -> DetectionStats:
     mcc_den = (tp + fp) * (tp + fn_) * (tn + fp) * (tn + fn_)
     mcc = (tp * tn - fp * fn_) / math.sqrt(mcc_den) if mcc_den else None
 
-    values = (recall, specificity, precision, npv, fpr, fdr, fnr, accuracy, f1, mcc)  # in STAT_NAMES order
-    undefined = tuple(name for name, value in zip(STAT_NAMES, values) if value is None)
-    return DetectionStats(*values, undefined=undefined)
+    return DetectionStats(recall, specificity, precision, npv, fpr, fdr, fnr, accuracy, f1, mcc)
 
 
-def _pop_mean(xs: list[float]) -> float:
-    return math.fsum(xs) / len(xs)
+# None over no values: the overlapping-only aggregates of samples none of which overlaps
+def _pop_mean(xs: list[float]) -> float | None:
+    return math.fsum(xs) / len(xs) if xs else None
 
 
-def _pop_std(xs: list[float]) -> float:
+def _pop_std(xs: list[float]) -> float | None:
     mean = _pop_mean(xs)
-    return math.sqrt(math.fsum((x - mean) ** 2 for x in xs) / len(xs))
+    return None if mean is None else math.sqrt(math.fsum((x - mean) ** 2 for x in xs) / len(xs))
 
 
 def summarize_localization(
@@ -212,32 +210,15 @@ def summarize_localization(
     """
     if not samples:
         raise EmptySampleSet("no localization samples to summarize")
-    overlapping = [(r, i) for _, _, ov, r, i in samples if ov]
+    recall_overlapping = [r for _, _, ov, r, _ in samples if ov]
     recall_all = [r if ov else 0.0 for _, _, ov, r, _ in samples]
-
-    if overlapping:
-        rec = [r for r, _ in overlapping]
-        ious = [i for _, i in overlapping]
-        mean_ov: float | None = _pop_mean(rec)
-        std_ov: float | None = _pop_std(rec)
-        iou_ov: float | None = _pop_mean(ious)
-        undefined: tuple[str, ...] = ()
-    else:
-        mean_ov = std_ov = iou_ov = None
-        undefined = (
-            "recall_mean_overlapping",
-            "recall_std_overlapping",
-            "iou_mean_overlapping",
-        )
-
     return LocalizationSummary(
-        union_rate=len(overlapping) / len(samples),
-        recall_mean_overlapping=mean_ov,
-        recall_std_overlapping=std_ov,
+        union_rate=len(recall_overlapping) / len(samples),
+        recall_mean_overlapping=_pop_mean(recall_overlapping),
+        recall_std_overlapping=_pop_std(recall_overlapping),
         recall_mean_all=_pop_mean(recall_all),
         recall_std_all=_pop_std(recall_all),
-        iou_mean_overlapping=iou_ov,
+        iou_mean_overlapping=_pop_mean([i for _, _, ov, _, i in samples if ov]),
         n_tests=len(samples),
-        n_overlapping=len(overlapping),
-        undefined=undefined,
+        n_overlapping=len(recall_overlapping),
     )

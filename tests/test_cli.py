@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from threading import TIMEOUT_MAX
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 import fovlink
 from fovlink.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from fovlink.dataset import Frame, load_manifest
+from fovlink.gateway import QueryParams
 
 from conftest import (
     LoopbackServer,
@@ -137,6 +139,55 @@ class TestArgumentBounds:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.splitlines()[-1].startswith(f"fovlink exp1: error: argument {flag}: ")
+        assert not (tmp_path / "out").exists()
+
+
+class TestQueryParamBounds:
+    """Each query flag rejects exactly the values that the QueryParams field behind it rejects."""
+
+    @pytest.mark.parametrize("text", ["0", "-1", "inf", "nan", str(int(TIMEOUT_MAX) + 1)])
+    @pytest.mark.parametrize(
+        "flag, field, convert",
+        [
+            ("--timeout", "timeout", float),
+            ("--temperature", "temperature", float),
+            ("--retries", "max_retries", int),
+            ("--max-tokens", "max_tokens", int),
+        ],
+    )
+    def test_the_cli_rejects_a_value_exactly_when_query_params_does(
+        self, workspace, capsys, flag, field, convert, text
+    ):
+        try:
+            QueryParams(**{field: convert(text)})
+            rejected = False
+        except ValueError:  # int("inf") too: no int flag can be given it
+            rejected = True
+        tmp_path, manifest, scenes = workspace
+        fixture = write_fixture(tmp_path, binary_script(scenes))
+        argv = ["exp1", "--manifest", manifest, "--fixture", fixture, "--runs", 1, flag, text, "--out", tmp_path / "out"]
+        if not rejected:
+            assert run_cli(*argv) == EXIT_OK
+            return
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith(f"fovlink exp1: error: argument {flag}: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_v2v_takes_no_parallelism(self, workspace, capsys):
+        # v2v sends its queries one by one, so the flag used to be accepted and ignored
+        tmp_path, manifest, scenes = workspace
+        fixture = write_fixture(tmp_path, localization_script(scenes, "no pedestrian"))
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "v2v", "--scenario", _v2v_scenario(tmp_path), "--manifest", manifest, "--fixture", fixture,
+                "--parallelism", "2", "--out", tmp_path / "out",
+            )
+        assert exc.value.code == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines()[-1] == "fovlink: error: unrecognized arguments: --parallelism 2"
         assert not (tmp_path / "out").exists()
 
 

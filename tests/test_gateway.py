@@ -3,8 +3,10 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import math
 import socket
 import time
+from threading import TIMEOUT_MAX
 
 import pytest
 
@@ -301,6 +303,30 @@ class TestQueryParams:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             QueryParams(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("timeout", math.inf),
+            ("timeout", math.nan),
+            ("timeout", TIMEOUT_MAX * 2),
+            ("temperature", math.inf),
+            ("temperature", math.nan),
+            ("backoff_base", -1.0),
+            ("backoff_base", math.inf),
+            ("backoff_base", math.nan),
+        ],
+    )
+    def test_values_a_socket_or_a_sleep_cannot_take_are_rejected(self, field, value):
+        # these used to pass, then overflowed in socket.settimeout or time.sleep, or sent
+        # "temperature":Infinity, which is not JSON
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            QueryParams(**{field: value})
+
+    def test_the_longest_timeout_is_one_a_socket_takes(self):
+        params = QueryParams(timeout=TIMEOUT_MAX, backoff_base=TIMEOUT_MAX)
+        with socket.socket() as sock:
+            sock.settimeout(params.timeout)
 
 
 # text that JSON escapes, text it writes as \uXXXX, and the image URL's own prefix

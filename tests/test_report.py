@@ -54,7 +54,7 @@ from fovlink.stats import ConfusionMatrix, derive_detection_stats
 from fovlink.v2v import LinkModel, Role, VehicleAgent, run_dialogue
 
 from conftest import scene_line, script_key, write_fixture, write_manifest
-from test_experiments import GT_TEMPLATE, binary_script, localization_script
+from test_experiments import GT_TEMPLATE, binary_script, comparison_script, localization_script
 
 CONFIG = ExperimentConfig(runs_per_prompt=2, params=QueryParams(backoff_base=0.0))
 
@@ -939,6 +939,18 @@ def test_exp2_and_exp3_in_one_directory_exit_2_and_write_nothing(record_dirs, tm
     assert main(["report", "--in", str(out)]) == EXIT_DATA
     assert capsys.readouterr().err == "fovlink: two parts of the report would write recall_distribution.svg\n"
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_a_comparison_that_names_a_prompt_twice_writes_nothing(small_manifest, tmp_path):
+    # its emit used to write two identical P1 summary rows and every P1 record twice,
+    # which fovlink report then rejected as two records of one key
+    scenes = load_manifest(small_manifest)
+    gateway = Gateway(MockBackend(comparison_script(scenes, ("P1",), runs=2)))
+    comparison = run_prompt_comparison(scenes, ("P1", "P1"), gateway, CONFIG)
+    out = tmp_path / "out"
+    with pytest.raises(ReportError, match="^the prompt comparison names prompt P1 twice$"):
+        emit_report(ReportBundle(comparison=comparison), ("csv", "records", "svg"), out)
+    assert not out.exists()
 
 
 def test_a_localization_records_file_of_two_prompts_exits_2_and_writes_nothing(record_dirs, tmp_path, capsys):

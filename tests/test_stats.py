@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import pytest
 from hypothesis import given
@@ -197,3 +198,37 @@ def test_benchmark_mcc_magnitude():
     cm = ConfusionMatrix(120, 6, 5, 129)
     expected = (120 * 129 - 5 * 6) / math.sqrt(125 * 126 * 134 * 135)
     assert derive_detection_stats(cm).mcc == pytest.approx(expected, abs=1e-15)
+
+
+def _none_fields(figures) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(figures) if getattr(figures, f.name) is None)
+
+
+@given(st.tuples(*(st.integers(0, 3) for _ in range(4))))
+def test_undefined_names_exactly_the_statistics_with_a_zero_denominator_in_order(counts):
+    tp, fn_, fp, tn = counts
+    if tp + fn_ + fp + tn == 0:
+        return
+    stats = derive_detection_stats(ConfusionMatrix(*counts))
+    # f1 needs a precision and a recall that are not both 0 or undefined: tp > 0
+    denominators = {
+        "recall": tp + fn_, "specificity": tn + fp, "precision": tp + fp, "npv": tn + fn_, "fpr": fp + tn,
+        "fdr": fp + tp, "fnr": fn_ + tp, "accuracy": 1, "f1": tp, "mcc": (tp + fp) * (tp + fn_) * (tn + fp) * (tn + fn_),
+    }
+    expected = tuple(name for name in STAT_NAMES if denominators[name] == 0)
+    assert stats.undefined == expected == _none_fields(stats)
+
+
+@given(
+    st.lists(
+        st.tuples(st.just("s"), st.integers(0, 2), st.booleans(), st.floats(0, 1), st.floats(0, 1)),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_summary_undefined_names_exactly_the_overlapping_aggregates_without_an_overlap(samples):
+    summary = summarize_localization(samples)
+    expected = () if any(ov for _, _, ov, _, _ in samples) else (
+        "recall_mean_overlapping", "recall_std_overlapping", "iou_mean_overlapping"
+    )
+    assert summary.undefined == expected == _none_fields(summary)
