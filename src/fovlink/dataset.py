@@ -208,6 +208,7 @@ def load_manifest(path: str | Path) -> SceneSet:
     negatives: list[SceneRecord] = []
     seen: set[str] = set()
 
+    manifest_dir = path.parent
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
@@ -224,10 +225,10 @@ def load_manifest(path: str | Path) -> SceneSet:
         if found:
             schema += [(line_no, fld, reason) for fld, reason in found]
             continue
-        image_path = Path(raw["image_path"])
         record = SceneRecord(
             scene_id=raw["scene_id"],
-            image_path=image_path if image_path.is_absolute() else path.parent / image_path,
+            # an absolute image path replaces the directory in the join
+            image_path=manifest_dir / raw["image_path"],
             width=raw["width"],
             height=raw["height"],
             has_pedestrian=raw["has_pedestrian"],

@@ -18,7 +18,9 @@ backoff, taking the next free slot, ahead of new tasks, once it wakes. So
 tasks run on a pool of ``2 * parallelism`` threads, and only such a run
 imports ``threading`` and ``concurrent.futures``. A simulated
 backend never waits, so its tasks run on the calling thread whatever the
-parallelism. Each prompt's results
+parallelism. A dispatch parses each distinct reply once per expected
+format: results that received equal replies share one frozen detection.
+Each prompt's results
 are sorted by (scene_id, prompt_id, run_idx) so output never depends on
 completion order. Per-scene gateway faults become recorded fault
 results; a run aborts only when every scene failed for a prompt, or for
@@ -146,6 +148,18 @@ class ConsistencyRecord:
         return self.min_pairwise_iou < CONSISTENCY_IOU_THRESHOLD
 
 
+def _detect(
+    expected_format: ExpectedFormat, text: str, parsed: dict[tuple[ExpectedFormat, str], ParsedDetection]
+) -> ParsedDetection:
+    """``text`` parsed for ``expected_format``, looked up in or added to ``parsed``."""
+    detection = parsed.get((expected_format, text))
+    if detection is None:
+        detect = detect_binary if expected_format is ExpectedFormat.YES_NO else detect_bbox
+        # threads may share ``parsed`` without a lock: a race only parses twice
+        detection = parsed[expected_format, text] = detect(text)
+    return detection
+
+
 def query_detection(
     frame: Frame,
     scene_id: str,
@@ -153,6 +167,7 @@ def query_detection(
     run_idx: int,
     gateway: Gateway,
     params: QueryParams,
+    parsed: dict[tuple[ExpectedFormat, str], ParsedDetection] | None = None,
 ) -> RunResult:
     """Ask the vision model about one frame and parse its reply.
 
@@ -160,8 +175,10 @@ def query_detection(
     dialogue. A simulated backend answers by key without looking at the
     pixels, so it gets the unread frame; any other backend gets its bytes,
     which carry their base64 encoding once the live backend has made it.
-    A gateway fault becomes a recorded fault result; an unscripted mock
-    key is a harness bug and propagates.
+    A reply already in ``parsed`` (by expected format and text) reuses its
+    detection; others are parsed and added. A gateway fault becomes a
+    recorded fault result; an unscripted mock key is a harness bug and
+    propagates.
     """
     key = (scene_id, prompt.prompt_id, run_idx)
     image = frame if gateway.backend.simulated else frame.read()
@@ -180,15 +197,11 @@ def query_detection(
             raw_text="",
             fault=f"{type(e).__name__}: {e}",
         )
-    if prompt.expected_format is ExpectedFormat.YES_NO:
-        detection = detect_binary(response.text)
-    else:
-        detection = detect_bbox(response.text)
     return RunResult(
         scene_id=scene_id,
         prompt_id=prompt.prompt_id,
         run_idx=run_idx,
-        detection=detection,
+        detection=_detect(prompt.expected_format, response.text, {} if parsed is None else parsed),
         latency=response.latency,
         raw_text=response.text,
     )
@@ -247,15 +260,17 @@ def _dispatch(
     ``parallelism`` slots from before it opens its frame to its last reply,
     except while the gateway view from ``Gateway.yielding`` sleeps out a
     backoff; a standby thread per slot takes up a slot lent that way, and
-    the task gets the next free slot back before any new task does.
+    the task gets the next free slot back before any new task does. Every
+    task parses through one memo that lasts for this dispatch only.
     """
     if not scenes:
         raise ExperimentPrecondition("experiment invoked with zero scenes")
+    parsed: dict[tuple[ExpectedFormat, str], ParsedDetection] = {}
 
     def query_scene(scene: SceneRecord, gateway: Gateway = gateway) -> list[RunResult]:
         frame = Frame(scene)
         return [
-            query_detection(frame, scene.scene_id, prompt, run_idx, gateway, config.params)
+            query_detection(frame, scene.scene_id, prompt, run_idx, gateway, config.params, parsed)
             for prompt in prompts
             for run_idx in range(config.runs_per_prompt)
         ]

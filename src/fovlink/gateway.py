@@ -2,9 +2,15 @@
 
 Two backends sit behind one retry loop: a live OpenAI-compatible HTTP
 backend (bearer token from FOVLINK_API_KEY, base URL from
-FOVLINK_BASE_URL) and a deterministic scripted mock for tests. Retries
+FOVLINK_BASE_URL) and a deterministic scripted mock for tests. The mock
+holds its script as one flat table, key to reply text or scripted fault,
+in which equal texts are one ``str``: a run asks the same question about
+the same frame several times, so its replies repeat. Retries
 apply only to transport-level failures and rate-limit signals, never to
-well-formed model replies, with exponential backoff between attempts.
+well-formed model replies, with exponential backoff between attempts,
+each at most ``threading.TIMEOUT_MAX`` seconds. A faulted attempt leaves
+only its kind and detail behind, so no request body outlives its attempt
+through a backoff.
 HTTP 408, 429 and 5xx are retried; any other 4xx fails after one attempt.
 
 Defaults lean towards determinism: temperature 0, max_tokens 300 (enough
@@ -150,7 +156,11 @@ def load_mock_fixture(path: str | Path) -> dict[str, dict]:
     return raw
 
 
-def mock_lookup(script: dict[str, dict], key: QueryKey) -> dict:
+class _ScriptedFault(str):
+    """A scripted fault in a ``MockBackend`` table, by its kind."""
+
+
+def mock_lookup(script: dict[str, dict | str], key: QueryKey) -> dict | str:
     """Exact scripted entry for a key; a missing key is an error, not a default."""
     scene_id, prompt_id, run_idx = key
     flat = f"{scene_id}|{prompt_id}|{run_idx}"
@@ -161,13 +171,23 @@ def mock_lookup(script: dict[str, dict], key: QueryKey) -> dict:
 
 
 class MockBackend:
-    """Replays a fixture script; read-only after load, safe to share."""
+    """Replays a fixture script; read-only after load, safe to share.
+
+    ``table`` maps each key to its reply text, or to a ``_ScriptedFault``;
+    equal texts are one ``str`` object.
+    """
 
     simulated = True
     backend_id = "mock"
 
     def __init__(self, script: dict[str, dict]) -> None:
-        self.script = script
+        shared: dict[str, str] = {}
+        self.table: dict[str, str] = {
+            key: shared.setdefault(entry["text"], entry["text"])
+            if "text" in entry
+            else _ScriptedFault(entry["fault"])
+            for key, entry in script.items()
+        }
 
     @classmethod
     def from_file(cls, path: str | Path) -> MockBackend:
@@ -176,10 +196,10 @@ class MockBackend:
     def complete(self, image: bytes | Frame, prompt: str, params: QueryParams, key: QueryKey | None) -> str:
         if key is None:
             raise UnscriptedKey("mock backend requires a query key")
-        entry = mock_lookup(self.script, key)
-        if "fault" in entry:
-            raise _BackendFault(entry["fault"], f"scripted fault for {key}")
-        return entry["text"]
+        reply = mock_lookup(self.table, key)
+        if isinstance(reply, _ScriptedFault):
+            raise _BackendFault(str(reply), f"scripted fault for {key}")
+        return reply
 
 
 # where the encoded image ends in the JSON of a chat request
@@ -335,7 +355,8 @@ class Gateway:
 
         Retries only _BackendFault signals (transport, timeout, rate
         limit), up to params.max_retries extra attempts with exponential
-        backoff. Raised gateway errors carry the per-attempt transcript.
+        backoff, each at most ``TIMEOUT_MAX`` seconds. Raised gateway
+        errors carry the per-attempt transcript.
         """
         if not image:
             raise ValueError("image must be non-empty")
@@ -344,35 +365,35 @@ class Gateway:
 
         attempts: list[str] = []
         started = time.monotonic()
-        last_fault: _BackendFault | None = None
+        kind = detail = ""
         for attempt in range(1, params.max_retries + 2):
             attempt_start = time.monotonic()
             try:
                 text = self.backend.complete(image, prompt, params, key)
             except _BackendFault as fault:
-                attempts.append(
-                    f"attempt {attempt}: {fault.kind} after "
-                    f"{time.monotonic() - attempt_start:.3f}s ({fault.detail})"
-                )
-                last_fault = fault
-                if attempt <= params.max_retries and not self.backend.simulated:
-                    self._backoff(params.backoff_base * 2 ** (attempt - 1))
-                continue
+                # the fault's traceback holds the attempt's locals, the request
+                # body among them: keep its words, and back off once it is gone
+                kind, detail = fault.kind, fault.detail
             except GatewayError as e:
                 attempts.append(f"attempt {attempt}: {type(e).__name__} ({e})")
                 e.attempts = attempts
                 raise
-            latency = 0.0 if self.backend.simulated else time.monotonic() - started
-            return RawResponse(
-                text=text,
-                latency=latency,
-                attempt_count=attempt,
-                backend_id=self.backend.backend_id,
+            else:
+                latency = 0.0 if self.backend.simulated else time.monotonic() - started
+                return RawResponse(
+                    text=text,
+                    latency=latency,
+                    attempt_count=attempt,
+                    backend_id=self.backend.backend_id,
+                )
+            attempts.append(
+                f"attempt {attempt}: {kind} after {time.monotonic() - attempt_start:.3f}s ({detail})"
             )
+            if attempt <= params.max_retries and not self.backend.simulated:
+                # 2.0 ** 1023 is the largest power of two a float holds
+                self._backoff(min(params.backoff_base * 2.0 ** min(attempt - 1, 1023), TIMEOUT_MAX))
 
-        assert last_fault is not None
-        error_cls = _FAULT_ERRORS[last_fault.kind]
-        raise error_cls(
-            f"{last_fault.kind} after {params.max_retries + 1} attempts: {last_fault.detail}",
+        raise _FAULT_ERRORS[kind](
+            f"{kind} after {params.max_retries + 1} attempts: {detail}",
             attempts,
         )

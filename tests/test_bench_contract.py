@@ -8,6 +8,7 @@ metric of ``bench/run.py --trace 1``; this test fails instead.
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
@@ -50,3 +51,23 @@ def test_traced_eval_and_rerender_passes_feed_every_layer(tmp_path):
     assert rerender_metrics["report.records_decoded"] == rerender.records
     # binary, localization, comparison (+ its 3 prompts) and transcript
     assert sum(r[1] == "report.rebuild" for r in rerender_tracer.spans) == 7
+
+
+def test_a_traced_eval_pass_times_the_fixture_load_and_each_distinct_reply_parse(tmp_path):
+    data, out = tmp_path / "data", tmp_path / "out"
+    gen.generate(data, 11, 24, {p: s.text for p, s in PROMPTS.items()}, live=False)
+    eval_mock = workloads.EvalMock(data, out)
+    tracer = spans.Tracer()
+    with spans.instrument(tracer, workloads.MODULES):
+        gw = spans.traced_gateway(gateway, eval_mock.setup(), tracer)
+        eval_pass = eval_mock.run_pass(gw)
+
+    assert eval_pass.problems == []
+    names = [r[1] for r in tracer.spans]
+    assert names.count("gateway.load_fixture") == 1
+    metrics = spans.summarize(tracer.spans)
+    assert metrics["parsing.detect_s"] > 0
+    # exp1 is the one dispatch of BIN queries, and it parses each distinct reply once
+    fixture = json.loads((data / "fixture.json").read_text(encoding="utf-8"))
+    bin_texts = {entry["text"] for key, entry in fixture.items() if key.split("|")[1] == "BIN" and "text" in entry}
+    assert 0 < names.count("parsing.detect_binary") == len(bin_texts) < names.count("gateway.send")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -212,3 +213,28 @@ def test_loaded_records_satisfy_invariants(tmp_path_factory, records):
         assert record.has_pedestrian == bool(record.gt_boxes)
     filtered = apply_curation_filter(scenes, frozenset(), None)
     assert filtered == scenes
+
+
+def _resolved_as_before(manifest: Path, image_path: str) -> Path:
+    """The image path rule of earlier releases: absolute as given, else under the manifest's directory."""
+    raw = Path(image_path)
+    return raw if raw.is_absolute() else manifest.parent / raw
+
+
+@pytest.mark.parametrize(
+    "image_path",
+    ["a.jpg", "images/a.jpg", "./a.jpg", "../up/a.jpg", "a//b/./c.jpg", "a/", "/abs/a.jpg", "//net/a.jpg", "/abs/../a.jpg"],
+)
+def test_image_paths_resolve_as_before(tmp_path, image_path):
+    path = write_manifest(tmp_path, [scene_line("s", positive=False, image_path=image_path)], create_images=False)
+    resolved = load_manifest(path).by_id["s"].image_path
+    expected = _resolved_as_before(path, image_path)
+    assert (resolved, str(resolved)) == (expected, str(expected))
+
+
+@given(st.text(alphabet="ab/. ", min_size=1))
+def test_any_image_path_resolves_as_before(tmp_path_factory, image_path):
+    tmp_path = tmp_path_factory.mktemp("manifests")
+    path = write_manifest(tmp_path, [scene_line("s", positive=False, image_path=image_path)], create_images=False)
+    resolved = load_manifest(path).by_id["s"].image_path
+    assert str(resolved) == str(_resolved_as_before(path, image_path))

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from fovlink import experiments
 from fovlink.dataset import Frame, load_manifest
 from fovlink.experiments import (
     AllScenesFailed,
@@ -27,7 +31,7 @@ from fovlink.experiments import (
 )
 from fovlink.gateway import Gateway, LiveBackend, MockBackend, QueryParams, _BackendFault, build_chat_request
 from fovlink.parsing import FailureKind, detect_bbox, detect_binary
-from fovlink.prompts import get_prompt
+from fovlink.prompts import ExpectedFormat, get_prompt
 from fovlink.report import ReportBundle, emit_report, result_to_record
 
 from conftest import LoopbackServer, completion_reply, http_reply, scene_line, script_key, write_manifest
@@ -691,3 +695,77 @@ def test_a_result_names_its_outcome_as_its_record_does(detection, outcome):
     )
     assert result.outcome == outcome
     assert result_to_record(result)["outcome"] == outcome
+
+
+_REPLIES = st.sampled_from(["yes", "No.", "", GT_TEMPLATE, "(0.4,0.4), (0.6,0.6)", "(0.1, 0.2)", NO_PED_REPLY])
+
+
+@given(st.lists(st.tuples(st.sampled_from(ExpectedFormat), _REPLIES | st.text(max_size=60))))
+def test_a_memoised_parse_equals_a_fresh_one(replies):
+    parsed = {}
+    for expected_format, text in replies:
+        detect = detect_binary if expected_format is ExpectedFormat.YES_NO else detect_bbox
+        assert experiments._detect(expected_format, text, parsed) == detect(text)
+    assert len(parsed) == len(set(replies))
+
+
+class NetworkMock(MockBackend):
+    """The mock script, served as a backend that waits on the network: frames are read, tasks pooled."""
+
+    simulated = False
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_equal_replies_share_one_detection_and_write_the_records_of_fresh_parses(
+    tmp_path, small_manifest, monkeypatch, parallelism
+):
+    scenes = load_manifest(small_manifest)
+    script = {**binary_script(scenes, runs=3, flip={"neg_b"}), **comparison_script(scenes)}
+    script[script_key("pos_a", "P2", 1)] = {"text": "a person by (0.4, 0.4"}
+    script[script_key("pos_b", "P3", 2)] = {"fault": "timeout"}
+    config = ExperimentConfig(runs_per_prompt=3, parallelism=parallelism, params=QueryParams(backoff_base=0.0))
+
+    def campaign(out):
+        gateway = Gateway(NetworkMock(script))
+        binary = run_binary_experiment(scenes, "BIN", gateway, config)
+        binary = replace(binary, results=tuple(replace(r, latency=0.0) for r in binary.results))
+        comparison = without_latency(run_prompt_comparison(scenes, ("P1", "P2", "P3"), gateway, config))
+        emit_report(ReportBundle(binary=binary), TARGETS, out / "exp1")
+        emit_report(ReportBundle(comparison=comparison), TARGETS, out / "exp3")
+        return binary.results + comparison.results
+
+    memoised = campaign(tmp_path / "memoised")
+    detect = experiments._detect
+    monkeypatch.setattr(experiments, "_detect", lambda expected_format, text, parsed: detect(expected_format, text, {}))
+    fresh = campaign(tmp_path / "fresh")
+
+    assert memoised == fresh
+    detections = [r.detection for r in memoised if r.detection is not None]
+    # per dispatch: exp1 replies "yes" and "no", exp3 four distinct replies
+    assert len({id(d) for d in detections}) == 6
+    assert len({id(r.detection) for r in fresh if r.detection is not None}) == len(detections)
+    files = sorted(p.relative_to(tmp_path / "memoised") for p in (tmp_path / "memoised").rglob("*") if p.is_file())
+    assert files
+    for name in files:
+        assert (tmp_path / "memoised" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
+
+
+def test_threads_sharing_the_parse_memo_give_each_reply_its_own_detection(tmp_path):
+    """16 worker threads on a tiny switch interval: a race may parse a reply twice, never mix two up."""
+    records = [scene_line(f"s{i:02d}", positive=True) for i in range(40)]
+    scenes = load_manifest(write_manifest(tmp_path, records))
+    script = {
+        script_key(r.scene_id, "P1", run_idx): {"text": f"({i % 7 / 10},0.1), (0.9,0.{run_idx + 5})"}
+        for i, r in enumerate(scenes.positives)
+        for run_idx in range(3)
+    }
+    config = ExperimentConfig(runs_per_prompt=3, parallelism=8, params=QueryParams(backoff_base=0.0))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        outcome = run_localization_experiment(scenes, "P1", Gateway(NetworkMock(script)), config)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(outcome.results) == 120
+    for r in outcome.results:
+        assert r.detection == detect_bbox(script[script_key(r.scene_id, r.prompt_id, r.run_idx)]["text"])

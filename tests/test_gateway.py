@@ -6,6 +6,7 @@ import json
 import math
 import socket
 import time
+import weakref
 from threading import TIMEOUT_MAX
 
 import pytest
@@ -28,7 +29,7 @@ from fovlink.gateway import (
     parse_chat_reply,
 )
 
-from conftest import LoopbackServer, http_reply, script_key
+from conftest import LoopbackServer, http_reply, script_key, write_fixture
 
 PARAMS = QueryParams(max_retries=2, backoff_base=0.0)
 
@@ -450,3 +451,80 @@ class TestYieldingView:
         assert view.backend is original.backend
         assert view._slots is slots
         assert original._slots is None
+
+
+def test_mock_backend_holds_one_str_per_distinct_reply(tmp_path):
+    script = {
+        script_key(f"s{i}", "BIN", run_idx): {"text": "yes" if i % 2 else "no"}
+        for i in range(10)
+        for run_idx in range(3)
+    }
+    script[script_key("s0", "P1", 0)] = {"fault": "timeout"}
+    path = write_fixture(tmp_path, script)
+    # JSON decoding gives every reply a str of its own
+    assert len({id(entry["text"]) for entry in load_mock_fixture(path).values() if "text" in entry}) == 30
+    backend = MockBackend.from_file(path)
+    gateway = Gateway(backend)
+    keys = [(f"s{i}", "BIN", run_idx) for i in range(10) for run_idx in range(3)]
+    replies = [gateway.send_vision_query(b"img", "prompt", PARAMS, key).text for key in keys]
+    assert replies == [script[script_key(*key)]["text"] for key in keys]
+    assert len({id(reply) for reply in replies}) == 2
+    assert len({id(value) for value in backend.table.values()}) == 3  # "yes", "no" and the fault
+    with pytest.raises(Timeout):
+        gateway.send_vision_query(b"img", "prompt", PARAMS, ("s0", "P1", 0))
+
+
+class AlwaysFaulting:
+    """A backend that waits on the network and faults every attempt."""
+
+    simulated = False
+    backend_id = "down"
+
+    def complete(self, image, prompt, params, key):
+        raise _BackendFault("transport", "scripted outage")
+
+
+@pytest.mark.parametrize("retries", [40, 2000])
+def test_backoff_is_capped_at_timeout_max_for_any_retry_count(monkeypatch, retries):
+    sleeps = []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    with pytest.raises(TransportError) as exc:
+        Gateway(AlwaysFaulting()).send_vision_query(b"img", "prompt", QueryParams(max_retries=retries))
+    assert len(exc.value.attempts) == retries + 1
+    assert len(sleeps) == retries
+    assert sleeps[:3] == [0.5, 1.0, 2.0]
+    assert max(sleeps) == sleeps[-1] == TIMEOUT_MAX
+
+
+class _Sentinel:
+    pass
+
+
+class PinningBackend:
+    """Faults every attempt from a frame that holds a fresh sentinel, as a live attempt holds its body."""
+
+    simulated = False
+    backend_id = "pinning"
+
+    def __init__(self) -> None:
+        self.sentinels: list[weakref.ref] = []
+
+    def complete(self, image, prompt, params, key):
+        body = _Sentinel()
+        self.sentinels.append(weakref.ref(body))
+        try:
+            raise ConnectionResetError("peer went away")
+        except ConnectionResetError as e:
+            raise _BackendFault("transport", str(e)) from e
+
+
+def test_a_faulted_attempt_holds_nothing_through_the_backoff(monkeypatch):
+    backend = PinningBackend()
+    alive_at_sleep = []
+    monkeypatch.setattr(
+        time, "sleep", lambda seconds: alive_at_sleep.append(sum(ref() is not None for ref in backend.sentinels))
+    )
+    with pytest.raises(TransportError):
+        Gateway(backend).send_vision_query(b"img", "prompt", QueryParams(max_retries=3, backoff_base=0.0))
+    assert len(backend.sentinels) == 4
+    assert alive_at_sleep == [0, 0, 0]
