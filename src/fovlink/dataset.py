@@ -20,7 +20,6 @@ import os
 import stat
 from base64 import b64encode
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 
 from .errors import FovlinkError
@@ -120,26 +119,19 @@ class SceneRecord:
         return None
 
 
-class FrameBytes(bytes):
-    """A frame's bytes, which ``base64`` encodes on its first use only."""
-
-    @cached_property
-    def base64(self) -> bytes:
-        return b64encode(self)
-
-
 class Frame:
-    """One scene's camera frame: opened once for its size, read and encoded at most once.
+    """One scene's camera frame: opened once for its size, encoded at most once.
 
     Opening raises what a read would for a missing or unreadable file (the
     same ``OSError``) and ``EmptyFrame`` for a file with no bytes, without
     reading it, so a backend that never looks at the pixels costs no read.
-    The bytes ``read`` returns carry their own base64 encoding, made on the
-    first request that needs it, so every query about the frame, and every
+    Every backend gets the ``Frame``. ``read`` returns the file's bytes and
+    keeps nothing; ``base64`` reads the file once, on its first use, and
+    keeps only the encoding, so every query about the frame, and every
     retry of one, sends the same encoded bytes.
     """
 
-    __slots__ = ("path", "size", "_data")
+    __slots__ = ("path", "size", "_base64")
 
     def __init__(self, scene: SceneRecord) -> None:
         fd = os.open(scene.image_path, os.O_RDONLY)
@@ -153,13 +145,18 @@ class Frame:
             raise EmptyFrame(f"scene {scene.scene_id!r}: frame {scene.image_path} is empty")
         self.path = scene.image_path
         self.size = info.st_size
-        self._data: FrameBytes | None = None
+        self._base64: bytes | None = None
 
-    def read(self) -> FrameBytes:
-        """The frame's bytes, read on the first call."""
-        if self._data is None:
-            self._data = FrameBytes(self.path.read_bytes())
-        return self._data
+    def read(self) -> bytes:
+        """The frame's bytes, read from the file on each call."""
+        return self.path.read_bytes()
+
+    @property
+    def base64(self) -> bytes:
+        """The frame's base64 encoding, made from one read on the first use."""
+        if self._base64 is None:
+            self._base64 = b64encode(self.read())
+        return self._base64
 
 
 @dataclass(frozen=True)

@@ -7,24 +7,24 @@ measures. Experiment 3 repeats experiment 2 across the registered
 coordinate prompts for a comparative table.
 
 The dispatch unit is one scene: a task opens the scene's frame once and
-asks every (prompt, run) of the experiment about it. Only a backend that
-is not simulated looks at the pixels, so only it reads the frame, once
-per task: experiment 3 reads each positive once for all its prompts, and
-a simulated backend reads no frame at all. For a backend that waits on
-the network, ``parallelism`` caps the requests in flight, not the
-threads: a task takes one of ``parallelism`` request slots before it
-opens its frame, and gives it back while a query sleeps out a retry's
-backoff, taking the next free slot, ahead of new tasks, once it wakes. So
-tasks run on a pool of ``2 * parallelism`` threads, and only such a run
-imports ``threading`` and ``concurrent.futures``. A simulated
-backend never waits, so its tasks run on the calling thread whatever the
-parallelism. A dispatch parses each distinct reply once per expected
-format: results that received equal replies share one frozen detection.
-Each prompt's results
-are sorted by (scene_id, prompt_id, run_idx) so output never depends on
-completion order. Per-scene gateway faults become recorded fault
-results; a run aborts only when every scene failed for a prompt, or for
-one run of experiment 1.
+asks every (prompt, run) of the experiment about it, handing every
+backend the ``Frame``. The live backend reads and encodes the frame once
+per task, at its first query, and the task keeps only the encoding:
+experiment 3 reads each positive once for all its prompts, and a
+simulated backend, which never looks at the pixels, reads no frame. For
+a backend that waits on the network, ``parallelism`` caps the requests
+in flight, not the threads: a task takes one of ``parallelism`` request
+slots before it opens its frame, and gives it back while a query sleeps
+out a retry's backoff, taking the next free slot, ahead of new tasks,
+once it wakes. So tasks run on a pool of ``2 * parallelism`` threads,
+and only such a run imports ``threading`` and ``concurrent.futures``. A
+simulated backend never waits, so its tasks run on the calling thread
+whatever the parallelism. A dispatch parses each distinct reply once per
+expected format: results that received equal replies share one frozen
+detection. Each prompt's results are sorted by (scene_id, prompt_id,
+run_idx) so output never depends on completion order. Per-scene gateway
+faults become recorded fault results; a run aborts only when every scene
+failed for a prompt, or for one run of experiment 1.
 """
 
 from __future__ import annotations
@@ -172,18 +172,18 @@ def query_detection(
     """Ask the vision model about one frame and parse its reply.
 
     The one query → detection step shared by the experiments and the V2V
-    dialogue. A simulated backend answers by key without looking at the
-    pixels, so it gets the unread frame; any other backend gets its bytes,
-    which carry their base64 encoding once the live backend has made it.
+    dialogue. Every backend gets the ``Frame``: a simulated one answers
+    by key without looking at the pixels, and the live one sends the
+    frame's base64 encoding, made by its first request, once per scene
+    task, without keeping the raw bytes.
     A reply already in ``parsed`` (by expected format and text) reuses its
     detection; others are parsed and added. A gateway fault becomes a
     recorded fault result; an unscripted mock key is a harness bug and
     propagates.
     """
     key = (scene_id, prompt.prompt_id, run_idx)
-    image = frame if gateway.backend.simulated else frame.read()
     try:
-        response = gateway.send_vision_query(image, prompt.text, params, key)
+        response = gateway.send_vision_query(frame, prompt.text, params, key)
     except UnscriptedKey:
         # a hole in the fixture is a harness bug, not a backend fault
         raise
@@ -252,8 +252,8 @@ def _dispatch(
 ) -> dict[str, tuple[RunResult, ...]]:
     """Every (scene, prompt, run) query, one task per scene; results per prompt id.
 
-    Each task opens its scene's frame once; a backend that is not simulated
-    reads it once, at its first query. Tasks share a thread pool only when
+    Each task opens its scene's frame once; the live backend reads and
+    encodes it once, at its first query. Tasks share a thread pool only when
     the backend waits on the network: a simulated backend answers at once,
     so worker threads would add only interpreter-lock hand-offs, and its
     tasks run on the calling thread. On the pool, a task holds one of

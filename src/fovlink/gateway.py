@@ -16,16 +16,15 @@ HTTP 408, 429 and 5xx are retried; any other 4xx fails after one attempt.
 Defaults lean towards determinism: temperature 0, max_tokens 300 (enough
 for the coordinate template while still letting verbose-reply failures
 happen with live models). Images travel as base64 data URIs without any
-resizing; a transformation here would be an undocumented confound. A
-backend marked ``simulated`` answers by query key and never looks at the
-pixels, so the experiments hand it an unread ``dataset.Frame``, opened
-once per scene, instead of the frame's bytes. Any other backend gets the
-bytes ``Frame.read`` returns, so a frame is read and encoded at most once
-per scene task: those bytes carry their base64 encoding, made by the
-first live request about them. The live backend splices the encoding
-into the JSON of the request built with an empty image, so every prompt,
-run and retry about a frame reuses one encoding, and the body is byte
-for byte ``json.dumps(build_chat_request(...))``.
+resizing; a transformation here would be an undocumented confound. Every
+backend gets the scene's ``dataset.Frame``, opened once per scene task.
+A backend marked ``simulated`` answers by query key and never looks at
+the pixels, so it costs no read. The live backend sends ``Frame.base64``,
+the encoding the task's first request makes from one read; the frame
+keeps the encoding, not the raw bytes. The live backend splices the
+encoding into the JSON of the request built with an empty image, so
+every prompt, run and retry about a frame reuses one encoding, and the
+body is byte for byte ``json.dumps(build_chat_request(...))``.
 
 The HTTP stack (``http.client``, ``urllib``, and the ``email`` and ``ssl``
 modules they pull in) is imported by the first live request, not at
@@ -44,14 +43,10 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from threading import TIMEOUT_MAX
-from typing import TYPE_CHECKING
 
-from .dataset import FrameBytes
+from .dataset import Frame
 from .errors import FovlinkError
 from .shape import utf8_encodable
-
-if TYPE_CHECKING:
-    from .dataset import Frame
 
 QueryKey = tuple[str, str, int]  # (scene_id, prompt_id, run_idx)
 
@@ -258,15 +253,16 @@ class LiveBackend:
         self.api_key = api_key or os.environ.get("FOVLINK_API_KEY", "")
         self.backend_id = f"live:{self.base_url}"
 
-    def complete(self, image: bytes, prompt: str, params: QueryParams, key: QueryKey | None) -> str:
+    def complete(self, image: bytes | Frame, prompt: str, params: QueryParams, key: QueryKey | None) -> str:
         # imported here, on the first request, so that neither a simulated run
         # nor building this backend pays for loading the HTTP stack
         import http.client
         import urllib.error
         import urllib.request
 
-        # the bytes of a Frame carry their encoding, made by their first request
-        encoded = image.base64 if isinstance(image, FrameBytes) else base64.b64encode(image)
+        # a Frame keeps its encoding, made by its first request; encoded
+        # before the try, a frame that cannot be read is no transport fault
+        encoded = image.base64 if isinstance(image, Frame) else base64.b64encode(image)
         # base64 needs no JSON escaping and no caller text follows the image
         # URL, so the body is the request's JSON with the encoding spliced in
         template = json.dumps(build_chat_request(b"", prompt, params)).encode("utf-8")
@@ -297,9 +293,9 @@ class LiveBackend:
             if isinstance(e.reason, TimeoutError):
                 raise _BackendFault("timeout", str(e.reason)) from e
             raise _BackendFault("transport", str(e.reason)) from e
-        except (http.client.HTTPException, ConnectionError) as e:
-            # urlopen wraps only send-side errors; a dropped connection or a
-            # short body surfaces while the reply is read
+        except (http.client.HTTPException, OSError) as e:
+            # urlopen wraps only send-side errors; a dropped connection, a
+            # short body or an unreachable host surfaces while the reply is read
             raise _BackendFault("transport", f"{type(e).__name__}: {e}") from e
 
 
@@ -348,10 +344,10 @@ class Gateway:
     ) -> RawResponse:
         """Send one image+prompt query, returning the reply text verbatim.
 
-        ``image`` is the frame's bytes; a simulated backend may be given
-        the unread ``Frame`` instead, since it never looks at the pixels.
-        The live backend encodes the bytes ``Frame.read`` returns once for
-        all the queries and retries about the frame.
+        ``image`` is the scene's ``Frame``, or bytes from a direct caller.
+        A simulated backend never looks at the pixels; the live backend
+        sends the frame's base64 encoding, made once for all the queries
+        and retries about the frame, without keeping its raw bytes.
 
         Retries only _BackendFault signals (transport, timeout, rate
         limit), up to params.max_retries extra attempts with exponential

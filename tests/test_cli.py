@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import base64
 import contextlib
+import errno
 import io
 import json
 import os
@@ -680,6 +681,37 @@ def test_a_live_frame_that_vanishes_after_it_was_opened_is_io_error(workspace, m
     assert capsys.readouterr().err == f"fovlink: i/o error: [Errno 2] No such file or directory: '{frame}'\n"
     assert server.connections == 0
     assert not (tmp_path / "out").exists()
+
+
+def test_an_unreachable_host_on_the_reply_side_is_a_recorded_fault(workspace, monkeypatch, capsys):
+    # an OSError that urllib does not wrap used to stop the whole run as an i/o error
+    import urllib.request
+
+    import fovlink.gateway
+
+    tmp_path, manifest, _ = workspace
+    marker = base64.b64encode(b"pos_b" * 16)
+    urlopen = urllib.request.urlopen
+
+    def unreachable_for_pos_b(request, timeout):
+        if marker in request.data:
+            raise OSError(errno.EHOSTUNREACH, "No route to host")
+        return urlopen(request, timeout=timeout)
+
+    monkeypatch.setattr(urllib.request, "urlopen", unreachable_for_pos_b)
+    monkeypatch.setattr(fovlink.gateway.time, "sleep", lambda seconds: None)
+    out = tmp_path / "out"
+    with LoopbackServer(lambda body: completion_reply("yes")) as server:
+        monkeypatch.setenv("FOVLINK_BASE_URL", server.url)
+        code = run_cli("exp1", "--backend", "live", "--manifest", manifest, "--runs", 1, "--out", out)
+    assert code == EXIT_OK
+    assert "i/o error" not in capsys.readouterr().err
+    records = [json.loads(line) for line in (out / "binary_results.jsonl").read_text().splitlines()]
+    faults = {r["scene_id"]: r["fault"] for r in records if r["outcome"] == "fault"}
+    assert faults == {
+        "pos_b": f"TransportError: transport after 3 attempts: OSError: [Errno {errno.EHOSTUNREACH}] No route to host"
+    }
+    assert server.connections == 2
 
 
 class TestInputsUTF8CannotHold:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+from base64 import b64encode
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fovlink.dataset import (
+    Frame,
     InvariantViolation,
     MissingFile,
     SceneSet,
@@ -238,3 +241,15 @@ def test_any_image_path_resolves_as_before(tmp_path_factory, image_path):
     path = write_manifest(tmp_path, [scene_line("s", positive=False, image_path=image_path)], create_images=False)
     resolved = load_manifest(path).by_id["s"].image_path
     assert str(resolved) == str(_resolved_as_before(path, image_path))
+
+
+def test_frame_base64_reads_the_file_once_and_read_reads_it_each_time(tmp_path, frame_reads):
+    scenes = load_manifest(write_manifest(tmp_path, [scene_line("pos_a", positive=True)]))
+    frame = Frame(scenes.by_id["pos_a"])
+    data = frame.path.read_bytes()
+    frame_reads.clear()
+    assert frame.base64 == frame.base64 == b64encode(data)
+    assert frame_reads == Counter({"pos_a.jpg": 1})
+    frame_reads.clear()
+    assert frame.read() == frame.read() == data
+    assert frame_reads == Counter({"pos_a.jpg": 2})

@@ -4,6 +4,7 @@ import json
 import sys
 import threading
 import time
+from base64 import b64decode
 from collections import Counter
 from dataclasses import replace
 
@@ -414,20 +415,24 @@ class TestFrameReads:
             assert frame_reads == Counter({f"{r.scene_id}.jpg": 1 for r in scenes.positives})
             assert len(comparison.results) == 3 * 3 * len(scenes.positives)
 
-    def test_only_a_backend_that_is_not_simulated_gets_the_frame_bytes(self, small_manifest):
+    def test_only_a_backend_that_is_not_simulated_gets_the_frame_bytes(self, small_manifest, frame_reads):
         scenes = load_manifest(small_manifest)
         script = binary_script(scenes)
         for simulated in (True, False):
+            frame_reads.clear()
             backend = ThreadRecordingBackend(script, simulated=simulated)
             run_binary_experiment(scenes, "BIN", Gateway(backend), CONFIG_1RUN)
             images = {scene_id: image for (scene_id, _, _), image in backend.images}
             assert len(images) == len(backend.images) == len(scenes)
-            if simulated:
-                assert {k: (type(v), v.size) for k, v in images.items()} == {
-                    r.scene_id: (Frame, r.image_path.stat().st_size) for r in scenes
-                }
-            else:
-                assert images == {r.scene_id: r.image_path.read_bytes() for r in scenes}
+            # every backend gets the task's Frame; only one that looks at the pixels reads it
+            assert {k: (type(v), v.path, v.size) for k, v in images.items()} == {
+                r.scene_id: (Frame, r.image_path, r.image_path.stat().st_size) for r in scenes
+            }
+            assert frame_reads == Counter({} if simulated else {f"{r.scene_id}.jpg": 1 for r in scenes})
+        # the encoding each frame kept is of the file's bytes
+        assert {k: b64decode(v.base64) for k, v in images.items()} == {
+            r.scene_id: r.image_path.read_bytes() for r in scenes
+        }
 
 
 class TestPromptComparisonDispatch:
@@ -494,8 +499,9 @@ class ThreadRecordingBackend(MockBackend):
     """Replays a mock script and records the thread and the (key, image) of every call.
 
     With ``simulated=False`` it stands for a backend that waits on the
-    network. With ``meet`` set, its first two calls wait for each other, so
-    they can only finish on two threads at once.
+    network and, like the live one, looks at the pixels through the
+    frame's ``base64``. With ``meet`` set, its first two calls wait for
+    each other, so they can only finish on two threads at once.
     """
 
     def __init__(self, script, *, simulated=True, meet=False) -> None:
@@ -511,6 +517,8 @@ class ThreadRecordingBackend(MockBackend):
             self.threads.append(threading.get_ident())
             self.images.append((key, image))
             first_two = len(self.threads) <= 2
+        if not self.simulated:
+            image.base64
         if self._meeting is not None and first_two:
             self._meeting.wait()
         return super().complete(image, prompt, params, key)
@@ -592,6 +600,39 @@ def test_a_live_scene_task_reads_and_encodes_its_frame_once(tmp_path, frame_read
     }
     # the 503 and its retry, then the two other runs of P1, then P2's three runs
     assert bodies == [expected["P1"]] * 4 + [expected["P2"]] * 3
+
+
+def test_a_live_scene_task_keeps_no_raw_copy_of_its_frame(tmp_path):
+    """While a task's second request is in flight, the frame's encoding is live under dataset.py, its bytes are not."""
+    import tracemalloc
+
+    import fovlink.dataset
+
+    scenes = load_manifest(write_manifest(tmp_path, [scene_line("pos_a", positive=True)]))
+    path = scenes.by_id["pos_a"].image_path
+    path.write_bytes(bytes(range(256)) * 800)
+    size = path.stat().st_size
+    under_dataset = [tracemalloc.Filter(True, fovlink.dataset.__file__, all_frames=True)]
+    bodies, live = [], []
+
+    def respond(body: bytes) -> bytes:
+        bodies.append(body)
+        if len(bodies) == 2:
+            live.extend(trace.size for trace in tracemalloc.take_snapshot().filter_traces(under_dataset).traces)
+        return completion_reply(GT_TEMPLATE)
+
+    config = ExperimentConfig(runs_per_prompt=2, params=QueryParams(backoff_base=0.0))
+    tracemalloc.start(25)
+    try:
+        with LoopbackServer(respond) as server:
+            result = run_localization_experiment(scenes, "P1", Gateway(LiveBackend(base_url=server.url)), config)
+    finally:
+        tracemalloc.stop()
+    assert [r.fault for r in result.results] == [None, None]
+    assert len(bodies) == 2
+    # the encoding, 4 bytes for every 3, is held; no block of the raw size is
+    assert any(block >= size * 4 // 3 for block in live)
+    assert [block for block in live if size <= block < size + 1024] == []
 
 
 class SlowNetworkBackend(MockBackend):

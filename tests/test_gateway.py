@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import base64
+import errno
 import hashlib
 import json
 import math
 import socket
 import time
 import weakref
+from collections import Counter
 from threading import TIMEOUT_MAX
 
 import pytest
@@ -265,6 +267,38 @@ class TestDroppedConnections:
             assert detail in attempt
 
 
+class _ReplyThatCannotBeRead(_FakeReply):
+    def read(self) -> bytes:
+        raise OSError(errno.EHOSTUNREACH, "No route to host")
+
+
+class TestReplySideOSError:
+    """An OSError that is no ConnectionError or TimeoutError, raised on the reply side, is a transport fault."""
+
+    @pytest.mark.parametrize("where", ["getresponse", "read"])
+    def test_retried_then_raised_as_transport_error(self, monkeypatch, where):
+        # used to escape the gateway, and stop a live run as an i/o error
+        calls = []
+
+        def fake_urlopen(request, timeout):
+            calls.append(request.full_url)
+            if where == "getresponse":
+                # urllib wraps a send-side OSError in a URLError, but not one from getresponse
+                raise OSError(errno.EHOSTUNREACH, "No route to host")
+            return _ReplyThatCannotBeRead(b"")
+
+        monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
+        backend = LiveBackend(base_url="https://inference.example/v1")
+        with pytest.raises(TransportError) as raised:
+            Gateway(backend).send_vision_query(b"img", "prompt", PARAMS)
+        assert len(calls) == PARAMS.max_retries + 1
+        attempts = raised.value.attempts
+        assert len(attempts) == PARAMS.max_retries + 1
+        for n, attempt in enumerate(attempts, start=1):
+            assert attempt.startswith(f"attempt {n}: transport after ")
+            assert f"OSError: [Errno {errno.EHOSTUNREACH}] No route to host" in attempt
+
+
 class TestHTTPStatusRetries:
     """408, 429 and 5xx are retried; any other 4xx would be refused again, so it is not."""
 
@@ -365,6 +399,29 @@ class TestSplicedBody:
         for given in (image, frame.read()):
             backend.complete(given, prompt, params, None)
         assert sent == [expected] * 2
+
+    @pytest.mark.parametrize("length", [300, 301, 302], ids=["len%3=0", "len%3=1", "len%3=2"])
+    def test_a_frame_is_sent_as_the_json_of_the_request_for_its_bytes(
+        self, monkeypatch, tmp_path, frame_reads, length
+    ):
+        image = (bytes(range(256)) * 2)[:length]
+        params = QueryParams(model_name='a "quoted" model;base64,"', max_tokens=17, temperature=0.25)
+        path = tmp_path / "frame.jpg"
+        path.write_bytes(image)
+        frame = Frame(SceneRecord("s", path, 1, 1, has_pedestrian=False, gt_boxes=(), tags=frozenset()))
+        sent = []
+
+        def fake_urlopen(request, timeout):
+            sent.append(request.data)
+            return _FakeReply(json.dumps({"choices": [{"message": {"content": "no"}}]}).encode())
+
+        monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
+        backend = LiveBackend(base_url="https://inference.example/v1")
+        for prompt in _WIRE_PROMPTS:
+            backend.complete(frame, prompt, params, None)
+        assert sent == [json.dumps(build_chat_request(image, prompt, params)).encode("utf-8") for prompt in _WIRE_PROMPTS]
+        # every request about the frame sends the encoding of one read
+        assert frame_reads == Counter({"frame.jpg": 1})
 
 
 class TestTextThatUTF8CannotHold:

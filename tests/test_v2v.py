@@ -360,6 +360,16 @@ def dialogue_setup(small_manifest):
     return scenes, ego, remotes, script
 
 
+class PixelReadingMock(MockBackend):
+    """A mock that is not simulated: like the live backend, it looks at the pixels through ``base64``."""
+
+    simulated = False
+
+    def complete(self, image, prompt, params, key):
+        image.base64
+        return super().complete(image, prompt, params, key)
+
+
 class TestRunDialogue:
     def test_two_remote_fixture(self, dialogue_setup):
         scenes, ego, remotes, script = dialogue_setup
@@ -428,8 +438,7 @@ class TestRunDialogue:
         assert frame_reads == Counter()
         assert transcript.stream_bytes == frame_sizes
 
-        backend = MockBackend(script)
-        backend.simulated = False
+        backend = PixelReadingMock(script)
         transcript = run_dialogue(ego, remotes, scenes, "P1", Gateway(backend), VANET_LINK, PARAMS)
         assert frame_reads == Counter({"pos_a.jpg": 1, "pos_b.jpg": 1})
         assert transcript.stream_bytes == frame_sizes
