@@ -20,11 +20,10 @@ resizing; a transformation here would be an undocumented confound. Every
 backend gets the scene's ``dataset.Frame``, opened once per scene task.
 A backend marked ``simulated`` answers by query key and never looks at
 the pixels, so it costs no read. The live backend sends ``Frame.base64``,
-the encoding the task's first request makes from one read; the frame
-keeps the encoding, not the raw bytes. The live backend splices the
-encoding into the JSON of the request built with an empty image, so
-every prompt, run and retry about a frame reuses one encoding, and the
-body is byte for byte ``json.dumps(build_chat_request(...))``.
+which the task's first query encodes from one read before its clock
+starts, and splices it into the JSON of a request built with an empty
+image: every prompt, run and retry about a frame reuses one encoding, and
+the body is byte for byte ``json.dumps(build_chat_request(...))``.
 
 The HTTP stack (``http.client``, ``urllib``, and the ``email`` and ``ssl``
 modules they pull in) is imported by the first live request, not at
@@ -346,8 +345,9 @@ class Gateway:
 
         ``image`` is the scene's ``Frame``, or bytes from a direct caller.
         A simulated backend never looks at the pixels; the live backend
-        sends the frame's base64 encoding, made once for all the queries
-        and retries about the frame, without keeping its raw bytes.
+        sends the frame's base64 encoding, made once per frame before the
+        clock starts, so ``latency`` (first attempt to reply, retries and
+        backoffs included) leaves out the frame's read and encoding.
 
         Retries only _BackendFault signals (transport, timeout, rate
         limit), up to params.max_retries extra attempts with exponential
@@ -359,6 +359,8 @@ class Gateway:
         if not prompt:
             raise ValueError("prompt must be non-empty")
 
+        if isinstance(image, Frame) and not self.backend.simulated:
+            image.base64  # read and encoded here, before the clock starts
         attempts: list[str] = []
         started = time.monotonic()
         kind = detail = ""

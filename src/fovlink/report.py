@@ -10,12 +10,12 @@ Each CSV header row starts with a versioned schema tag naming the label
 column; the column set behind a tag is closed, any added column bumps
 the version. Exact field names are documented in docs/schemas.md.
 
-Every file is written whole or not at all: its text goes, in chunks of at
-most ``_BATCH`` records, to a sibling ``.part`` file that replaces the
-previous file only once its last chunk is written. A records file is
-never held whole in memory, on the way out or on the way back in. CSV
-cells that hold a comma, a quote or a line break are quoted (RFC 4180),
-and chart labels are XML-escaped.
+Every render returns the lines of its file, without their newlines, and
+``_write`` ends them: ``_BATCH`` lines go in each write to a sibling
+``.part`` file that replaces the previous file only once its last line is
+written. A records file is never held whole in memory, on the way out or
+on the way back in. CSV cells that hold a comma, a quote or a line break
+are quoted (RFC 4180), and chart labels are XML-escaped.
 
 Re-rendering reads each records file line by line, checks each result
 record on its own (``record_to_result``) and then each records file as a
@@ -109,11 +109,11 @@ _LINK_FILE = "v2v_link.json"
 _LOCALIZATION_FILES = ("localization_summary.csv", "localization_results.jsonl")
 _COMPARISON_FILES = ("prompt_comparison.csv", "comparison_results.jsonl")
 
-# records per chunk of a records file: large enough that each write is
-# cheap, small enough that no file is held whole
+# lines per write of a report file: large enough that each write is cheap,
+# small enough that no records file is held whole
 _BATCH = 256
 
-# (render target, file name, render: the file's text in chunks) of one output file
+# (render target, file name, render: the file's lines, without newlines) of one output file
 _Output = tuple[str, str, Callable[[], Iterable[str]]]
 # (result, sample, label, scene_lowlight) of one decoded result record
 _Row = tuple[RunResult, LocalizationSample | None, bool | None, bool | None]
@@ -235,22 +235,6 @@ def record_to_result(record) -> tuple[RunResult, LocalizationSample | None]:
     return result, sample
 
 
-def _lines(lines) -> str:
-    """Text of ``lines``, each ended by a newline: the body of every CSV, JSONL and SVG file."""
-    return "".join(line + "\n" for line in lines)
-
-
-def _json_lines(records) -> str:
-    return _lines(COMPACT_JSON.encode(r) for r in records)
-
-
-def _json_chunks(records: Iterable[dict]) -> Iterator[str]:
-    """``_json_lines`` of ``records``, ``_BATCH`` records at a time."""
-    records = iter(records)
-    while batch := list(islice(records, _BATCH)):
-        yield _json_lines(batch)
-
-
 def _cell(text: str) -> str:
     """``text`` as one CSV cell: quoted, inner quotes doubled, if it holds a comma, a quote or a line break."""
     if any(c in text for c in ',"\r\n'):
@@ -258,14 +242,14 @@ def _cell(text: str) -> str:
     return text
 
 
-def _stats_csv(binary: BinaryExperimentResult) -> str:
+def _stats_csv(binary: BinaryExperimentResult) -> list[str]:
     header = "detection_stats_v1,tp,fn,fp,tn," + ",".join(f"{n}_pct" for n in STAT_NAMES)
     rows = [header]
     for run_idx, (m, s) in enumerate(zip(binary.per_run_matrices, binary.per_run_stats)):
         cells = [f"run_{run_idx}", str(m.tp), str(m.fn_), str(m.fp), str(m.tn)]
         cells += [_pct(getattr(s, n)) for n in STAT_NAMES]
         rows.append(",".join(cells))
-    return _lines(rows)
+    return rows
 
 
 # LocalizationSummary fields of localization_summary.csv: the counts, then
@@ -274,33 +258,33 @@ _SUMMARY_COUNTS = ("n_tests", "n_overlapping")
 _SUMMARY_SHARES = tuple(f.name for f in fields(LocalizationSummary) if f.name not in _SUMMARY_COUNTS)
 
 
-def _summary_csv(rows: list[tuple[str, LocalizationSummary]]) -> str:
+def _summary_csv(rows: list[tuple[str, LocalizationSummary]]) -> list[str]:
     lines = [",".join(["localization_summary_v1", *_SUMMARY_COUNTS, *(f"{n}_pct" for n in _SUMMARY_SHARES)])]
     for label, s in rows:
         counts = (str(getattr(s, n)) for n in _SUMMARY_COUNTS)
         lines.append(",".join([_cell(label), *counts, *(_pct(getattr(s, n)) for n in _SUMMARY_SHARES)]))
-    return _lines(lines)
+    return lines
 
 
-def _failures_csv(samples: tuple[LocalizationSample, ...], lowlight_share: float | None) -> str:
+def _failures_csv(samples: tuple[LocalizationSample, ...], lowlight_share: float | None) -> list[str]:
     counts = Counter(sample.failure_kind for sample in samples)
     lines = ["failure_taxonomy_v1,value", *(f"{kind.value},{counts[kind]}" for kind in FailureKind)]
     lines.append(f"lowlight_failure_share_pct,{_pct(lowlight_share)}")
-    return _lines(lines)
+    return lines
 
 
-def _consistency_csv(records: list[ConsistencyRecord]) -> str:
+def _consistency_csv(records: list[ConsistencyRecord]) -> list[str]:
     lines = ["consistency_v1,prompt_id,n_runs,kinds,min_pairwise_iou,flagged"]
     for r in records:
         min_iou = "" if r.min_pairwise_iou is None else f"{r.min_pairwise_iou:.4f}"
         ids = f"{_cell(r.scene_id)},{_cell(r.prompt_id)}"
         lines.append(f"{ids},{r.n_runs},{'|'.join(r.kinds)},{min_iou},{str(r.flagged).lower()}")
-    return _lines(lines)
+    return lines
 
 
-def _transport_csv(transcript: DialogueTranscript) -> str:
+def _transport_csv(transcript: DialogueTranscript) -> list[str]:
     ratio = "" if transcript.ratio is None else f"{transcript.ratio:.6f}"
-    lines = [
+    return [
         "v2v_comparison_v1,value",
         f"n_messages,{len(transcript.messages)}",
         f"dialogue_bytes,{transcript.dialogue_bytes}",
@@ -309,7 +293,6 @@ def _transport_csv(transcript: DialogueTranscript) -> str:
         f"stream_time_s,{transcript.stream_time:.6f}",
         f"ratio,{ratio}",
     ]
-    return _lines(lines)
 
 
 def _five_numbers(values: list[float]) -> tuple[float, float, float, float, float]:
@@ -326,11 +309,11 @@ def _five_numbers(values: list[float]) -> tuple[float, float, float, float, floa
 _CHART_WIDTH, _CHART_HEIGHT = 480, 320
 
 
-def _chart(parts: list[str]) -> str:
-    """SVG text of ``parts`` on the white canvas that every chart shares."""
+def _chart(parts: list[str]) -> list[str]:
+    """SVG lines of ``parts`` on the white canvas that every chart shares."""
     size = f'width="{_CHART_WIDTH}" height="{_CHART_HEIGHT}"'
     frame = [f'<svg xmlns="http://www.w3.org/2000/svg" {size}>', f'<rect x="0" y="0" {size} fill="white"/>']
-    return _lines([*frame, *parts, "</svg>"])
+    return [*frame, *parts, "</svg>"]
 
 
 # the charts' labels and lines; coordinates come formatted, as an int or a
@@ -344,7 +327,7 @@ def _line(x1: int | str, y1: str, x2: int | str, y2: str, stroke: str, width: in
     return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}" stroke-width="{width}"/>'
 
 
-def _recall_boxplot_svg(groups: list[tuple[str, list[float]]]) -> str:
+def _recall_boxplot_svg(groups: list[tuple[str, list[float]]]) -> list[str]:
     """Box plot of per-sample recall, one box per prompt."""
     width, height = _CHART_WIDTH, _CHART_HEIGHT
     left, right, top, bottom = 60, 20, 20, 40
@@ -375,7 +358,7 @@ def _recall_boxplot_svg(groups: list[tuple[str, list[float]]]) -> str:
     return _chart(parts)
 
 
-def _iou_share_svg(ious: list[float]) -> str:
+def _iou_share_svg(ious: list[float]) -> list[str]:
     """Share of overlapping samples per IoU decile bucket."""
     buckets = [0] * 10
     for v in ious:
@@ -430,17 +413,17 @@ def _localization_outputs(
     groups = [(pid, [s.recall for s in run.samples]) for pid, run in zip(comparison.prompt_ids, runs)]
     overlapping = [s.iou for run in runs for s in run.samples if s.overlap]
     outputs: list[_Output] = [
-        ("csv", summary_name, lambda: [_summary_csv(comparison.summary_table())]),
+        ("csv", summary_name, lambda: _summary_csv(comparison.summary_table())),
         (
             "records",
             records_name,
-            lambda: _json_chunks(r for run in runs for r in _records(run.results, bundle, run.samples)),
+            lambda: map(COMPACT_JSON.encode, (r for run in runs for r in _records(run.results, bundle, run.samples))),
         ),
     ]
     if any(values for _, values in groups):
-        outputs.append(("svg", "recall_distribution.svg", lambda: [_recall_boxplot_svg(groups)]))
+        outputs.append(("svg", "recall_distribution.svg", lambda: _recall_boxplot_svg(groups)))
     if overlapping:
-        outputs.append(("svg", "iou_shares.svg", lambda: [_iou_share_svg(overlapping)]))
+        outputs.append(("svg", "iou_shares.svg", lambda: _iou_share_svg(overlapping)))
     return outputs
 
 
@@ -450,36 +433,37 @@ def _outputs(bundle: ReportBundle) -> list[_Output]:
     binary, loc, transcript = bundle.binary, bundle.localization, bundle.transcript
     if binary is not None:
         outputs += [
-            ("csv", "detection_stats.csv", lambda: [_stats_csv(binary)]),
-            ("records", _BINARY_RECORDS, lambda: _json_chunks(_records(binary.results, bundle))),
+            ("csv", "detection_stats.csv", lambda: _stats_csv(binary)),
+            ("records", _BINARY_RECORDS, lambda: map(COMPACT_JSON.encode, _records(binary.results, bundle))),
         ]
     if loc is not None:
         # exp2 is a prompt comparison over its one prompt
         prompt_id = loc.results[0].prompt_id if loc.results else "P?"
         single = PromptComparison(prompt_ids=(prompt_id,), runs={prompt_id: loc})
         outputs += _localization_outputs(single, _LOCALIZATION_FILES, bundle)
-        outputs.append(("csv", "failures.csv", lambda: [_failures_csv(loc.samples, bundle.lowlight_share)]))
+        outputs.append(("csv", "failures.csv", lambda: _failures_csv(loc.samples, bundle.lowlight_share)))
     if bundle.comparison is not None:
         outputs += _localization_outputs(bundle.comparison, _COMPARISON_FILES, bundle)
     if bundle.consistency is not None:
-        outputs.append(("csv", "consistency.csv", lambda: [_consistency_csv(bundle.consistency)]))
+        outputs.append(("csv", "consistency.csv", lambda: _consistency_csv(bundle.consistency)))
     if transcript is not None:
         link, messages = transcript.link, transcript.messages
         meta = {"rate_bps": link.rate, "overhead": link.overhead, "stream_bytes": transcript.stream_bytes}
         outputs += [
-            ("records", _TRANSCRIPT_FILE, lambda: [_lines(encode_message(m).decode() for m in messages)]),
-            ("records", _LINK_FILE, lambda: [_json_lines([meta])]),
-            ("csv", "v2v_comparison.csv", lambda: [_transport_csv(transcript)]),
+            ("records", _TRANSCRIPT_FILE, lambda: (encode_message(m).decode() for m in messages)),
+            ("records", _LINK_FILE, lambda: [COMPACT_JSON.encode(meta)]),
+            ("csv", "v2v_comparison.csv", lambda: _transport_csv(transcript)),
         ]
     return outputs
 
 
-def _write(path: Path, chunks: Iterable[str]) -> None:
-    """Write ``chunks`` to ``path`` through a sibling temporary, so a failed write leaves the previous file."""
-    part = path.with_name(f".{path.name}.part")
+def _write(path: Path, lines: Iterable[str]) -> None:
+    """Write ``lines`` to ``path`` through a sibling temporary, each ended by a newline and ``_BATCH`` to a write."""
+    part, lines = path.with_name(f".{path.name}.part"), iter(lines)
     try:
         with open(part, "w", encoding="utf-8", newline="") as f:
-            f.writelines(chunks)
+            while batch := list(islice(lines, _BATCH)):
+                f.write("".join(line + "\n" for line in batch))
         os.replace(part, path)
     except BaseException:
         part.unlink(missing_ok=True)

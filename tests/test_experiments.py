@@ -635,6 +635,18 @@ def test_a_live_scene_task_keeps_no_raw_copy_of_its_frame(tmp_path):
     assert [block for block in live if size <= block < size + 1024] == []
 
 
+def test_a_result_latency_leaves_out_the_frame_read_and_encoding(small_manifest, frame_reads, monkeypatch):
+    """The first query of a scene task used to count its frame's read and encoding in its latency."""
+    read = Frame.read
+    monkeypatch.setattr(Frame, "read", lambda frame: time.sleep(0.15) or read(frame))
+    scenes = load_manifest(small_manifest)
+    backend = ThreadRecordingBackend(binary_script(scenes, runs=2), simulated=False)
+    result = run_binary_experiment(scenes, "BIN", Gateway(backend), replace(CONFIG_1RUN, runs_per_prompt=2))
+    assert frame_reads == Counter({f"{r.scene_id}.jpg": 1 for r in scenes})
+    assert len(result.results) == 2 * len(scenes)
+    assert max(r.latency for r in result.results) < 0.1
+
+
 class SlowNetworkBackend(MockBackend):
     """A backend that waits on the network: each call takes ``hold`` seconds.
 

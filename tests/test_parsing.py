@@ -22,7 +22,8 @@ from fovlink.parsing import (
     parse_bbox_response,
     parse_binary_response,
 )
-from fovlink.report import _json_lines, result_to_record
+from fovlink.report import result_to_record
+from fovlink.shape import COMPACT_JSON
 
 CORPUS_PATH = Path(__file__).parent / "data" / "parser_corpus.jsonl"
 
@@ -174,7 +175,7 @@ class TestBoxAndEnvelopeGolden:
         assert [math.copysign(1.0, v) for v in corners] == [1.0] * 4
         assert json.dumps(detection.box.clamped) == clamped
         record = result_to_record(RunResult("s", "P1", 0, detection, 0.0, reply))
-        assert _json_lines([record]) == (
+        assert COMPACT_JSON.encode(record) + "\n" == (
             '{"scene_id":"s","prompt_id":"P1","run_idx":0,"outcome":"located","verdict":null,'
             f'"label":null,"scene_lowlight":null,"box":{box},"box_clamped":{clamped},'
             f'"box_degenerate":{degenerate},"failure_kind":null,"coerced":false,"fault":null,'

@@ -50,6 +50,7 @@ from fovlink.report import (
     rerender,
     result_to_record,
 )
+from fovlink.shape import COMPACT_JSON
 from fovlink.stats import ConfusionMatrix, derive_detection_stats
 from fovlink.v2v import LinkModel, Role, VehicleAgent, run_dialogue
 
@@ -1111,6 +1112,21 @@ def _binary_records_bundle(n: int) -> ReportBundle:
     binary = BinaryExperimentResult(results=results, matrix=None, stats=None, per_run_matrices=(), per_run_stats=())
     labels = {r.scene_id: True for r in results}
     return ReportBundle(binary=binary, labels=labels, lowlight={s: False for s in labels})
+
+
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 513])
+def test_records_on_either_side_of_a_write_batch_are_each_written_once(tmp_path, n):
+    bundle = _binary_records_bundle(n)
+    emit_report(bundle, ["records"], tmp_path)
+    path = tmp_path / "binary_results.jsonl"
+    expected = "".join(
+        COMPACT_JSON.encode(result_to_record(r, None, True, False)) + "\n" for r in bundle.binary.results
+    ).encode("utf-8")
+    assert path.read_bytes() == expected
+    # an empty records file is no run to re-render, and is left as it is
+    assert main(["report", "--in", str(tmp_path), "--targets", "records"]) == (EXIT_OK if n else EXIT_DATA)
+    assert path.read_bytes() == expected
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["binary_results.jsonl"]
 
 
 def _peak_bytes(call) -> int:
