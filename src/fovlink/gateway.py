@@ -5,12 +5,16 @@ backend (bearer token from FOVLINK_API_KEY, base URL from
 FOVLINK_BASE_URL) and a deterministic scripted mock for tests. The mock
 holds its script as one flat table, key to reply text or scripted fault,
 in which equal texts are one ``str``: a run asks the same question about
-the same frame several times, so its replies repeat. Retries
-apply only to transport-level failures and rate-limit signals, never to
-well-formed model replies, with exponential backoff between attempts,
-each at most ``threading.TIMEOUT_MAX`` seconds. A faulted attempt leaves
-only its kind and detail behind, so no request body outlives its attempt
-through a backoff.
+the same frame several times, so its replies repeat. The fixture loader
+builds that table while the JSON is decoded, each entry checked and
+turned into its reply as soon as it is parsed, so no entry dict is ever
+held beside it; a script built in code goes through the same entry rule.
+
+Retries apply only to transport-level failures and rate-limit signals,
+never to well-formed model replies, with exponential backoff between
+attempts, each at most ``threading.TIMEOUT_MAX`` seconds. A faulted
+attempt leaves only its kind and detail behind, so no request body
+outlives its attempt through a backoff.
 HTTP 408, 429 and 5xx are retried; any other 4xx fails after one attempt.
 
 Defaults lean towards determinism: temperature 0, max_tokens 300 (enough
@@ -126,32 +130,57 @@ _FAULT_ERRORS = {
 FAULT_KINDS = tuple(_FAULT_ERRORS)
 
 
-def load_mock_fixture(path: str | Path) -> dict[str, dict]:
-    """Load a mock script: {"scene|prompt|run": {"text": ...} | {"fault": kind}}."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise MalformedBackendReply(f"mock fixture is not valid JSON: {e}") from e
-    if not isinstance(raw, dict):
-        raise MalformedBackendReply("mock fixture must be a JSON object")
-    for key, entry in raw.items():
-        if not isinstance(entry, dict) or ("text" not in entry) == ("fault" not in entry):
-            raise MalformedBackendReply(
-                f"fixture entry {key!r} must have exactly one of 'text' or 'fault'"
-            )
-        if "text" in entry and not isinstance(entry["text"], str):
-            raise MalformedBackendReply(f"fixture entry {key!r} has non-string text")
-        if "text" in entry and not utf8_encodable(entry["text"]):
-            raise MalformedBackendReply(f"fixture entry {key!r} has text with a lone surrogate")
-        if "fault" in entry and entry["fault"] not in FAULT_KINDS:
-            raise MalformedBackendReply(
-                f"fixture entry {key!r} has unknown fault {entry['fault']!r}"
-            )
-    return raw
-
-
 class _ScriptedFault(str):
     """A scripted fault in a ``MockBackend`` table, by its kind."""
+
+
+def _reply(key: str | None, entry: object, shared: dict[str, str]) -> str:
+    """The reply of one fixture entry: its text (one ``str`` per distinct
+    text through ``shared``) or its fault as a ``_ScriptedFault``."""
+    if not isinstance(entry, dict) or ("text" in entry) == ("fault" in entry):
+        raise MalformedBackendReply(f"fixture entry {key!r} must have exactly one of 'text' or 'fault'")
+    if "fault" in entry:
+        if entry["fault"] not in FAULT_KINDS:
+            raise MalformedBackendReply(f"fixture entry {key!r} has unknown fault {entry['fault']!r}")
+        reply = _ScriptedFault(entry["fault"])
+    else:
+        reply = entry["text"]
+        if not isinstance(reply, str):
+            raise MalformedBackendReply(f"fixture entry {key!r} has non-string text")
+        if not utf8_encodable(reply):
+            raise MalformedBackendReply(f"fixture entry {key!r} has text with a lone surrogate")
+        reply = shared.setdefault(reply, reply)
+    if len(entry) > 1:
+        field = next(field for field in entry if field not in ("text", "fault"))
+        raise MalformedBackendReply(f"fixture entry {key!r} has unknown field {field!r}")
+    return reply
+
+
+def load_mock_fixture(path: str | Path) -> dict[str, str]:
+    """Load a mock script, {"scene|prompt|run": {"text": ...} | {"fault": kind}}, as its
+    reply table; each entry becomes its reply as soon as it is decoded."""
+    shared: dict[str, str] = {}
+
+    def as_reply(obj: dict) -> dict | tuple[str]:
+        # a 1-tuple, unlike any JSON value; an object that is no entry stays
+        # a dict, to be rejected below under its key
+        try:
+            return (_reply(None, obj, shared),)
+        except MalformedBackendReply:
+            return obj
+
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        table = json.loads(text, object_hook=as_reply)
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise MalformedBackendReply(f"mock fixture is not valid JSON: {e}") from e
+    if isinstance(table, tuple):  # the root is itself one entry: reject it by its key
+        table = json.loads(text)
+    if not isinstance(table, dict):
+        raise MalformedBackendReply("mock fixture must be a JSON object")
+    for key, value in table.items():
+        table[key] = value[0] if type(value) is tuple else _reply(key, value, shared)
+    return table
 
 
 def mock_lookup(script: dict[str, dict | str], key: QueryKey) -> dict | str:
@@ -168,7 +197,8 @@ class MockBackend:
     """Replays a fixture script; read-only after load, safe to share.
 
     ``table`` maps each key to its reply text, or to a ``_ScriptedFault``;
-    equal texts are one ``str`` object.
+    equal texts are one ``str`` object. A script built in code is checked by
+    the loader's entry rule; ``from_file`` keeps the table the loader built.
     """
 
     simulated = True
@@ -176,16 +206,13 @@ class MockBackend:
 
     def __init__(self, script: dict[str, dict]) -> None:
         shared: dict[str, str] = {}
-        self.table: dict[str, str] = {
-            key: shared.setdefault(entry["text"], entry["text"])
-            if "text" in entry
-            else _ScriptedFault(entry["fault"])
-            for key, entry in script.items()
-        }
+        self.table = {key: _reply(key, entry, shared) for key, entry in script.items()}
 
     @classmethod
     def from_file(cls, path: str | Path) -> MockBackend:
-        return cls(load_mock_fixture(path))
+        backend = cls.__new__(cls)
+        backend.table = load_mock_fixture(path)
+        return backend
 
     def complete(self, image: bytes | Frame, prompt: str, params: QueryParams, key: QueryKey | None) -> str:
         if key is None:

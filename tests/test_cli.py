@@ -204,6 +204,18 @@ class TestFixtureAndBackendExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("fovlink: fixture error: mock fixture is not valid JSON")
 
+    def test_fixture_entry_with_an_unknown_field_is_data_error(self, workspace, capsys):
+        tmp_path, manifest, scenes = workspace
+        script = binary_script(scenes)
+        script[script_key("pos_a", "BIN", 0)] = {"text": "yes", "note": 1}
+        fixture = write_fixture(tmp_path, script)
+        code = run_cli("exp1", "--manifest", manifest, "--fixture", fixture, "--runs", 1, "--out", tmp_path / "out")
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "fovlink: fixture error: fixture entry 'pos_a|BIN|0' has unknown field 'note'\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_live_reply_is_backend_error(self, workspace, monkeypatch, capsys):
         tmp_path, manifest, _ = workspace
         with LoopbackServer(lambda body: http_reply(b"<html>not json</html>")) as server:

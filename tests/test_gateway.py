@@ -7,6 +7,7 @@ import json
 import math
 import socket
 import time
+import tracemalloc
 import weakref
 from collections import Counter
 from threading import TIMEOUT_MAX
@@ -25,6 +26,7 @@ from fovlink.gateway import (
     TransportError,
     UnscriptedKey,
     _BackendFault,
+    _ScriptedFault,
     build_chat_request,
     load_mock_fixture,
     mock_lookup,
@@ -93,17 +95,67 @@ class TestMockBackend:
         script = {script_key("s", "BIN", 0): {"text": "yes"}, script_key("s", "BIN", 1): {"fault": "timeout"}}
         path = tmp_path / "fixture.json"
         path.write_text(json.dumps(script), encoding="utf-8")
-        assert load_mock_fixture(path) == script
+        table = load_mock_fixture(path)
+        assert table == {script_key("s", "BIN", 0): "yes", script_key("s", "BIN", 1): "timeout"}
+        assert type(table[script_key("s", "BIN", 0)]) is str
+        assert type(table[script_key("s", "BIN", 1)]) is _ScriptedFault
+        assert MockBackend.from_file(path).table == table == MockBackend(script).table
 
     @pytest.mark.parametrize(
         "entry",
-        [{"text": "a", "fault": "timeout"}, {}, {"fault": "weird"}, {"text": 5}],
+        [{"text": "a", "fault": "timeout"}, {}, {"fault": "weird"}, {"text": 5}, {"text": "a", "note": 1}],
     )
     def test_fixture_loader_rejects_bad_entries(self, tmp_path, entry):
         path = tmp_path / "fixture.json"
         path.write_text(json.dumps({"k": entry}), encoding="utf-8")
         with pytest.raises(MalformedBackendReply):
             load_mock_fixture(path)
+
+    @pytest.mark.parametrize(
+        "entry,message",
+        [
+            ({"text": "a", "fault": "timeout"}, "must have exactly one of 'text' or 'fault'"),
+            ({}, "must have exactly one of 'text' or 'fault'"),
+            ("yes", "must have exactly one of 'text' or 'fault'"),
+            ({"fault": "weird"}, "has unknown fault 'weird'"),
+            ({"text": 5}, "has non-string text"),
+            ({"text": "yes \ud800"}, "has text with a lone surrogate"),
+            ({"text": "a", "note": 1}, "has unknown field 'note'"),
+            ({"fault": "timeout", "note": 1}, "has unknown field 'note'"),
+        ],
+    )
+    def test_a_script_built_in_code_follows_the_fixture_entry_rule(self, tmp_path, entry, message):
+        with pytest.raises(MalformedBackendReply) as built:
+            MockBackend({"k": entry})
+        assert str(built.value) == f"fixture entry 'k' {message}"
+        with pytest.raises(MalformedBackendReply) as loaded:
+            load_mock_fixture(write_fixture(tmp_path, {"k": entry}))
+        assert str(loaded.value) == str(built.value)
+
+    @pytest.mark.parametrize(
+        "raw,message",
+        [
+            ('{"text": "yes"}', "fixture entry 'text' must have exactly one of 'text' or 'fault'"),
+            ('{"fault": "timeout"}', "fixture entry 'fault' must have exactly one of 'text' or 'fault'"),
+            ('{"k": {"text": "a"}, "text": "b"}', "fixture entry 'text' must have exactly one of 'text' or 'fault'"),
+            ('{"k": [{"text": "a"}]}', "fixture entry 'k' must have exactly one of 'text' or 'fault'"),
+            ('{"k": {"text": {"text": "a"}}}', "fixture entry 'k' has non-string text"),
+            ("[1]", "mock fixture must be a JSON object"),
+            ('[{"text": "a"}]', "mock fixture must be a JSON object"),
+        ],
+        ids=["text-root", "fault-root", "root-with-text-key", "entry-in-array", "entry-as-text", "array", "array-of-entries"],
+    )
+    def test_a_root_that_is_no_script_keeps_its_message(self, tmp_path, raw, message):
+        path = tmp_path / "fixture.json"
+        path.write_text(raw, encoding="utf-8")
+        with pytest.raises(MalformedBackendReply) as exc:
+            load_mock_fixture(path)
+        assert str(exc.value) == message
+
+    def test_an_entry_shaped_object_under_an_entry_key_is_an_entry(self, tmp_path):
+        path = tmp_path / "fixture.json"
+        path.write_text('{"text": {"text": "a"}, "fault": {"fault": "transport"}}', encoding="utf-8")
+        assert MockBackend.from_file(path).table == {"text": "a", "fault": "transport"}
 
     @pytest.mark.parametrize(
         "raw", [b'{"k": {"text": "yes"}', b"\xff\xfe not utf-8"], ids=["truncated", "not-utf8"]
@@ -518,8 +570,10 @@ def test_mock_backend_holds_one_str_per_distinct_reply(tmp_path):
     }
     script[script_key("s0", "P1", 0)] = {"fault": "timeout"}
     path = write_fixture(tmp_path, script)
-    # JSON decoding gives every reply a str of its own
-    assert len({id(entry["text"]) for entry in load_mock_fixture(path).values() if "text" in entry}) == 30
+    # the loader already gives equal texts one str
+    table = load_mock_fixture(path)
+    assert len({id(reply) for reply in table.values() if type(reply) is str}) == 2
+    assert sum(type(reply) is _ScriptedFault for reply in table.values()) == 1
     backend = MockBackend.from_file(path)
     gateway = Gateway(backend)
     keys = [(f"s{i}", "BIN", run_idx) for i in range(10) for run_idx in range(3)]
@@ -529,6 +583,32 @@ def test_mock_backend_holds_one_str_per_distinct_reply(tmp_path):
     assert len({id(value) for value in backend.table.values()}) == 3  # "yes", "no" and the fault
     with pytest.raises(Timeout):
         gateway.send_vision_query(b"img", "prompt", PARAMS, ("s0", "P1", 0))
+
+
+def test_loading_a_fixture_holds_no_entry_dicts(tmp_path):
+    # 6,000 entries, 35 distinct texts; the bound sits between a load that
+    # decodes a dict per entry (about 3.0 MB) and one that does not (about 1.6 MB)
+    script = {
+        script_key(f"scene_{i:04d}", prompt_id, run_idx): {"fault": "timeout"}
+        if i % 50 == 0
+        else {"text": f"({i % 7 / 10}, 0.2), (0.4, {i % 5 / 10}) a pedestrian near the crosswalk"}
+        for i in range(1000)
+        for prompt_id in ("P1", "P2")
+        for run_idx in range(3)
+    }
+    path = write_fixture(tmp_path, script)
+    tracemalloc.start()
+    try:
+        backend = MockBackend.from_file(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_400_000
+    assert backend.table == MockBackend(script).table
+    texts = [reply for reply in backend.table.values() if not isinstance(reply, _ScriptedFault)]
+    assert len(texts) == 5880
+    assert all(type(reply) is str for reply in texts)
+    assert len({id(reply) for reply in texts}) == len(set(texts)) == 35
 
 
 class AlwaysFaulting:
