@@ -23,17 +23,23 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import FovlinkError
-from .shape import FOUR_NUMBERS, NON_EMPTY_TEXT, TEXT, Fields, ListOf, describe, problems
+from .shape import NON_EMPTY_TEXT, TEXT, Fields, ListOf, Rule, describe, fits_float, load_json, problems
+
+# a run divides box coordinates by the image size as floats, so each must fit one
+_SIZE = Rule("must be an integer that fits a float", lambda v: type(v) is int and fits_float(v))
+_BOX = Rule(
+    "must be four numbers that fit a float", lambda v: type(v) is list and len(v) == 4 and all(map(fits_float, v))
+)
 
 # one manifest line (docs/schemas.md)
 MANIFEST_SHAPE = Fields(
     {
         "scene_id": NON_EMPTY_TEXT,
         "image_path": NON_EMPTY_TEXT,
-        "width": (int,),
-        "height": (int,),
+        "width": _SIZE,
+        "height": _SIZE,
         "has_pedestrian": (bool,),
-        "gt_boxes": ListOf(FOUR_NUMBERS),
+        "gt_boxes": ListOf(_BOX),
         "tags": ListOf(TEXT),
     }
 )
@@ -214,7 +220,7 @@ def load_manifest(path: str | Path) -> SceneSet:
         if not line.strip():
             continue
         try:
-            raw = json.loads(line)
+            raw = load_json(line)
         except json.JSONDecodeError as e:
             schema.append((line_no, "", f"invalid JSON ({e.msg})"))
             continue

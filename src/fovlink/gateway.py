@@ -49,7 +49,7 @@ from threading import TIMEOUT_MAX
 
 from .dataset import Frame
 from .errors import FovlinkError
-from .shape import utf8_encodable
+from .shape import load_json, utf8_encodable
 
 QueryKey = tuple[str, str, int]  # (scene_id, prompt_id, run_idx)
 
@@ -171,7 +171,7 @@ def load_mock_fixture(path: str | Path) -> dict[str, str]:
 
     try:
         text = Path(path).read_text(encoding="utf-8")
-        table = json.loads(text, object_hook=as_reply)
+        table = load_json(text, object_hook=as_reply)
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise MalformedBackendReply(f"mock fixture is not valid JSON: {e}") from e
     if isinstance(table, tuple):  # the root is itself one entry: reject it by its key
@@ -255,7 +255,7 @@ def build_chat_request(image: bytes, prompt: str, params: QueryParams) -> dict:
 
 def parse_chat_reply(body: bytes) -> str:
     try:
-        data = json.loads(body)
+        data = load_json(body)
         content = data["choices"][0]["message"]["content"]
     except (UnicodeDecodeError, json.JSONDecodeError, KeyError, IndexError, TypeError) as e:
         raise MalformedBackendReply(f"unexpected completion payload: {e}") from e

@@ -19,7 +19,10 @@ are quoted (RFC 4180), and chart labels are XML-escaped.
 
 Re-rendering reads each records file line by line, checks each result
 record on its own (``record_to_result``) and then each records file as a
-whole (``_checked_rows``). ``statistics`` is imported by the box-plot
+whole (``_checked_rows``). One re-render holds every record of a file at
+once, and the records repeat their scene and prompt ids, so it keeps one
+``str`` per distinct id, shared by every records file it reads, for as
+long as it runs. ``statistics`` is imported by the box-plot
 quartiles and ``logging`` by the empty-bundle warning, so a process that
 needs neither loads neither.
 """
@@ -57,7 +60,7 @@ from .stats import (  # noqa: F401
     derive_detection_stats,
     summarize_localization,
 )
-from .shape import COMPACT_JSON, FOUR_NUMBERS, NON_NEGATIVE_INT, NULL, NUMBER, Fields, Nullable, Rule, describe, problems, utf8_encodable
+from .shape import COMPACT_JSON, FLOAT, FOUR_NUMBERS, NON_NEGATIVE_INT, NULL, NUMBER, Fields, Nullable, Rule, describe, fits_float, load_json, problems, utf8_encodable
 from .v2v import DialogueTranscript, LinkModel, V2VMessage, decode_message, encode_message
 
 RENDER_TARGETS = ("csv", "records", "svg")
@@ -94,11 +97,15 @@ _RECORD_SHAPE = Fields(
 )
 
 RESULT_RECORD_FIELDS = tuple(_RECORD_SHAPE.fields)
+# the ids that repeat from record to record, kept once per re-render
+_SHARED_IDS = ("scene_id", "prompt_id")
 # the record's strings, which the report writes back as UTF-8
 _TEXT_FIELDS = tuple(name for name, shape in _RECORD_SHAPE.fields.items() if type(shape) is tuple and str in shape)
 
-# v2v_link.json, the link next to a stored transcript
-_LINK_SHAPE = Fields({"rate_bps": NUMBER, "overhead": NUMBER, "stream_bytes": NON_NEGATIVE_INT})
+# v2v_link.json, the link next to a stored transcript; the transmission
+# times divide its figures as floats, so each must fit one
+_BYTES = Rule("must be a non-negative integer that fits a float", lambda v: type(v) is int and v >= 0 and fits_float(v))
+_LINK_SHAPE = Fields({"rate_bps": FLOAT, "overhead": FLOAT, "stream_bytes": _BYTES})
 
 # the files that rerender reads back
 _BINARY_RECORDS = "binary_results.jsonl"
@@ -527,11 +534,19 @@ def _read_lines(path: Path, decode: Callable[[str], object]) -> list:
     return decoded
 
 
-def _decode_record(line: str) -> _Row:
+def _decode_record(line: str, shared: dict[str, str] | None = None) -> _Row:
+    """One records line as its row, its scene and prompt ids replaced by the equal ``str`` in ``shared`` or entered there."""
     try:
-        record = json.loads(line)
+        record = load_json(line)
     except json.JSONDecodeError as e:
         raise ReportError(f"invalid JSON ({e.msg})") from e
+    if shared is None:
+        shared = {}
+    if type(record) is dict:
+        for name in _SHARED_IDS:
+            value = record.get(name)
+            if type(value) is str:
+                record[name] = shared.setdefault(value, value)
     return (*record_to_result(record), record["label"], record["scene_lowlight"])
 
 
@@ -627,7 +642,7 @@ def rebuild_transcript(transcript_path: Path, link_path: Path) -> DialogueTransc
     """Reconstruct a dialogue transcript from its emitted files."""
     wire = _read_lines(transcript_path, _decode_wire)
     try:
-        meta = json.loads(link_path.read_text(encoding="utf-8"))
+        meta = load_json(link_path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as e:
         raise ReportError(f"cannot read link metadata {link_path.name}: {e}") from e
     found = problems(meta, _LINK_SHAPE)
@@ -666,13 +681,15 @@ def rerender(in_dir: str | Path, targets) -> list[Path]:
     """Re-render reports from the record files found in ``in_dir``.
 
     Recognizes the record files and the V2V transcript (with its link)
-    that emit_report writes.
+    that emit_report writes. Equal scene ids, and equal prompt ids, of all
+    the records files are one ``str`` (``_decode_record``).
     """
     in_path = Path(in_dir)
     if not in_path.is_dir():
         raise ReportError(f"input directory not found: {in_path}")
     parts: dict = {}
     facts: dict[str, tuple] = {}
+    shared: dict[str, str] = {}
     # built per call so the rebuild functions are looked up when they run
     sources = (
         ("binary", _BINARY_RECORDS, rebuild_binary),
@@ -682,7 +699,8 @@ def rerender(in_dir: str | Path, targets) -> list[Path]:
     for part, name, rebuild in sources:
         path = in_path / name
         if path.is_file():
-            parts[part] = rebuild(_checked_rows(_read_lines(path, _decode_record), part, name, facts))
+            rows = _read_lines(path, lambda line: _decode_record(line, shared))
+            parts[part] = rebuild(_checked_rows(rows, part, name, facts))
 
     transcript_path = in_path / _TRANSCRIPT_FILE
     if transcript_path.is_file():

@@ -7,11 +7,18 @@ never a number), a frozenset of allowed strings, ``Fields``, ``ListOf``,
 ``Nullable`` or a named ``Rule``. ``problems`` returns the ``(field path,
 reason)`` pairs that each reader raises its own error from; a value that
 fits costs no path strings.
+
+``load_json`` is every reader's ``json.loads``: an integer of more digits
+than Python converts fails as a syntax error does. A number that a reader
+turns into a float must fit one (``fits_float``): an integer of 309 digits
+overflows it.
 """
 
 from __future__ import annotations
 
 import json
+import re
+import sys
 from typing import Any, Callable
 
 NULL = type(None)
@@ -22,6 +29,8 @@ NUMBER = (int, float)
 COMPACT_JSON = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
 
 _ABSENT = object()
+# float() of an integer this large or larger overflows: it rounds to 2.0 ** 1024
+_FLOAT_LIMIT = 2**1024 - 2**970
 
 
 class Fields:
@@ -71,6 +80,29 @@ def utf8_encodable(text: str) -> bool:
     return True
 
 
+def load_json(doc: str | bytes, **options) -> Any:
+    """``json.loads``, except that an integer of more digits than Python converts
+    (``sys.get_int_max_str_digits``) raises ``JSONDecodeError`` at the integer,
+    as a syntax error does, not a plain ``ValueError``."""
+    try:
+        return json.loads(doc, **options)
+    except json.JSONDecodeError:
+        raise
+    except ValueError as e:
+        text = doc.decode(json.detect_encoding(doc), "surrogatepass") if isinstance(doc, bytes) else doc
+        limit = sys.get_int_max_str_digits()
+        # the text before the integer is valid JSON, so each string there is one whole match
+        for token in re.finditer(rf'"(?:[^"\\]|\\.)*"|-?[0-9]{{{limit + 1},}}(?![0-9.eE])', text):
+            if token[0][0] != '"':
+                raise json.JSONDecodeError(f"integer of more than {limit} digits", text, token.start()) from e
+        raise
+
+
+def fits_float(value: Any) -> bool:
+    """Whether ``value`` is a number, not a bool, that ``float()`` converts without overflow."""
+    return type(value) is float or type(value) is int and -_FLOAT_LIMIT < value < _FLOAT_LIMIT
+
+
 NON_EMPTY_STR = Rule("must be a non-empty string", lambda v: type(v) is str and v != "")
 # the strings of an input a run writes back out, or opens as a path; an
 # ASCII string skips the call, since a manifest holds thousands of them
@@ -80,6 +112,7 @@ NON_EMPTY_TEXT = Rule(
     lambda v: type(v) is str and v != "" and (v.isascii() or utf8_encodable(v)),
 )
 NON_NEGATIVE_INT = Rule("must be a non-negative integer", lambda v: type(v) is int and v >= 0)
+FLOAT = Rule("must be a number that fits a float", fits_float)
 FOUR_NUMBERS = Rule(
     "must be four numbers",
     lambda v: type(v) is list and len(v) == 4 and all(type(x) in NUMBER for x in v),

@@ -32,7 +32,7 @@ from .parsing import DetectionKind, FailureKind, ParsedDetection
 # bench/spans.py traces the parsers under these names
 from .parsing import detect_bbox, detect_binary  # noqa: F401
 from .prompts import get_prompt
-from .shape import COMPACT_JSON, NON_EMPTY_TEXT, NON_NEGATIVE_INT, NULL, NUMBER, TEXT, Fields, ListOf, Nullable, describe, problems
+from .shape import COMPACT_JSON, FLOAT, NON_EMPTY_TEXT, NON_NEGATIVE_INT, NULL, NUMBER, TEXT, Fields, ListOf, Nullable, describe, load_json, problems
 
 PROTOCOL_VERSION = "1"
 
@@ -184,7 +184,7 @@ def encode_message(msg: V2VMessage) -> bytes:
 
 def decode_message(data: bytes) -> V2VMessage:
     try:
-        record = json.loads(data.decode("utf-8"))
+        record = load_json(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise MalformedMessage("", f"not valid JSON: {e}") from e
     if type(record) is not dict:
@@ -202,7 +202,7 @@ def decode_message(data: bytes) -> V2VMessage:
     if payload.get("box") is not None:
         try:
             payload["box"] = NormalizedBBox(**payload["box"])
-        except (ValueError, NonFiniteInput) as e:
+        except (ValueError, OverflowError, NonFiniteInput) as e:
             raise MalformedMessage("payload.box", str(e)) from e
     if payload.get("failure_kind") is not None:
         payload["failure_kind"] = FailureKind(payload["failure_kind"])
@@ -347,7 +347,7 @@ _SCENARIO_SHAPE = Fields(
                 others=True,
             )
         ),
-        "link": Fields({"rate_bps": NUMBER}, {"overhead": NUMBER}, others=True),
+        "link": Fields({"rate_bps": FLOAT}, {"overhead": FLOAT}, others=True),
         "prompt_id": TEXT,
     },
     others=True,
@@ -357,7 +357,7 @@ _SCENARIO_SHAPE = Fields(
 def load_scenario(path: str | Path) -> tuple[VehicleAgent, tuple[VehicleAgent, ...], LinkModel, str]:
     """Read a scenario config of ``_SCENARIO_SHAPE`` with exactly one ego vehicle."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = load_json(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as e:
         raise ScenarioError(f"scenario file not found: {path}") from e
     except UnicodeDecodeError as e:

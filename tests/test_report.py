@@ -1174,3 +1174,20 @@ def test_a_malformed_line_blocks_before_a_byte_that_is_not_utf8_is_reported_firs
     path.write_bytes(head.encode() + b'{"scene_id":"\xff"}\n')
     with pytest.raises(ReportError, match=r"^binary_results\.jsonl line 1: invalid JSON"):
         _read_lines(path, _decode_record)
+
+
+def test_a_rerender_keeps_one_str_per_distinct_scene_id_and_prompt_id(record_dirs, tmp_path, monkeypatch):
+    # exp1 and exp2 records in one directory: the ids repeat across runs and across the two files
+    out = tmp_path / "out"
+    shutil.copytree(record_dirs["binary_results.jsonl"], out)
+    shutil.copytree(record_dirs["localization_results.jsonl"], out, dirs_exist_ok=True)
+    rows = []
+    for name in ("rebuild_binary", "rebuild_localization"):
+        rebuild = getattr(fovlink.report, name)
+        monkeypatch.setattr(fovlink.report, name, lambda part, rebuild=rebuild: rebuild(rows.extend(part) or part))
+    assert rerender(out, ["csv", "records"])
+    expected = sum(len(_records_of(out, name)) for name in ("binary_results.jsonl", "localization_results.jsonl"))
+    assert len(rows) == expected
+    for ids in ([row[0].scene_id for row in rows], [row[0].prompt_id for row in rows]):
+        assert len(set(ids)) < len(ids)
+        assert len({id(value) for value in ids}) == len(set(ids))
