@@ -12,24 +12,28 @@ backend the ``Frame``. The live backend reads and encodes the frame once
 per task, at its first query, and the task keeps only the encoding:
 experiment 3 reads each positive once for all its prompts, and a
 simulated backend, which never looks at the pixels, reads no frame. For
-a backend that waits on the network, ``parallelism`` caps the requests
-in flight, not the threads: a task takes one of ``parallelism`` request
-slots before it opens its frame, and gives it back while a query sleeps
-out a retry's backoff, taking the next free slot, ahead of new tasks,
-once it wakes. So tasks run on a pool of ``2 * parallelism`` threads,
-and only such a run imports ``threading`` and ``concurrent.futures``. A
-simulated backend never waits, so its tasks run on the calling thread
-whatever the parallelism. A dispatch parses each distinct reply once per
-expected format: results that received equal replies share one frozen
-detection. Each prompt's results are sorted by (scene_id, prompt_id,
-run_idx) so output never depends on completion order. Per-scene gateway
-faults become recorded fault results; a run aborts only when every scene
-failed for a prompt, or for one run of experiment 1.
+a backend that waits on the network, ``parallelism`` is the number of
+workers, the calling thread and ``parallelism - 1`` pool threads, so it
+caps the requests in flight; only a run with pool threads imports
+``concurrent.futures``. A worker whose query sleeps out a retry's backoff
+runs the next whole tasks meanwhile, and a task taken up that way may
+lend its own backoffs one level deeper, but no further. A simulated
+backend never waits, so its tasks run on the calling thread whatever the
+parallelism. A dispatch parses each distinct reply once per expected
+format: results that received equal replies share one frozen detection.
+Each prompt's results are sorted by (scene_id, prompt_id, run_idx) so
+output never depends on completion order. Per-scene gateway faults
+become recorded fault results; a run aborts only when every scene failed
+for a prompt, or for one run of experiment 1.
 """
 
 from __future__ import annotations
 
+import math
+import threading
+import time
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, combinations
 
 from . import stats as stats_mod
@@ -207,41 +211,23 @@ def query_detection(
     )
 
 
-class _RequestSlots:
-    """``n`` request slots: a task back from a retry's backoff takes the next free one.
+# a scene taken up during a backoff lends its own backoffs to scenes one
+# level deeper; at this depth a backoff only sleeps, so a storm of faults
+# nests no deeper than this however many scenes it hits
+_LENDING_DEPTH = 2
 
-    A semaphore would let a task that has just given a slot back take it
-    again before a waiting thread wakes, so a task back from a backoff
-    could wait until the last scene had taken a slot. Here a new scene
-    task (``with slots``) waits while any task back from a backoff
-    (``acquire``) does.
+
+def _take_up(next_task, run, gateway: Gateway, depth: int = 0, deadline: float = math.inf) -> None:
+    """``run(task, view)`` each task from ``next_task()`` until none is left or ``deadline`` (monotonic) passes.
+
+    ``view`` lends each backoff to this function one level deeper, down to
+    ``_LENDING_DEPTH``. A module function, not a closure that names itself,
+    so a dispatch leaves no reference cycle holding its results.
     """
-
-    def __init__(self, cond, n: int) -> None:
-        self._cond = cond  # a threading.Condition: only a pooled run imports threading
-        self._free = n
-        self._returning = 0
-
-    def acquire(self) -> None:
-        with self._cond:
-            self._returning += 1
-            self._cond.wait_for(lambda: self._free)
-            self._returning -= 1
-            self._free -= 1
-            self._cond.notify_all()  # a new task may take a slot still free
-
-    def release(self) -> None:
-        with self._cond:
-            self._free += 1
-            self._cond.notify_all()
-
-    def __enter__(self) -> None:
-        with self._cond:
-            self._cond.wait_for(lambda: self._free and not self._returning)
-            self._free -= 1
-
-    def __exit__(self, *exc) -> None:
-        self.release()
+    if depth < _LENDING_DEPTH:
+        gateway = gateway.lending(partial(_take_up, next_task, run, gateway, depth + 1))
+    while time.monotonic() < deadline and (task := next_task()) is not None:
+        run(task, gateway)
 
 
 def _dispatch(
@@ -253,44 +239,49 @@ def _dispatch(
     """Every (scene, prompt, run) query, one task per scene; results per prompt id.
 
     Each task opens its scene's frame once; the live backend reads and
-    encodes it once, at its first query. Tasks share a thread pool only when
-    the backend waits on the network: a simulated backend answers at once,
-    so worker threads would add only interpreter-lock hand-offs, and its
-    tasks run on the calling thread. On the pool, a task holds one of
-    ``parallelism`` slots from before it opens its frame to its last reply,
-    except while the gateway view from ``Gateway.yielding`` sleeps out a
-    backoff; a standby thread per slot takes up a slot lent that way, and
-    the task gets the next free slot back before any new task does. Every
-    task parses through one memo that lasts for this dispatch only.
+    encodes it once, at its first query. Workers take whole tasks in turn
+    from one iterator and write each task's results at its scene's index.
+    A simulated backend answers at once, so its one worker is the calling
+    thread; a backend that waits on the network gets ``parallelism``
+    workers, the calling thread and ``parallelism - 1`` pool threads. A
+    worker whose query backs off takes up the next whole tasks through the
+    gateway view from ``Gateway.lending`` until the backoff's deadline
+    passes, then sleeps out what is left of it, so at most ``parallelism``
+    requests are in flight and no worker idles through a backoff while
+    tasks remain. Every task parses through one memo that lasts for this
+    dispatch only.
     """
     if not scenes:
         raise ExperimentPrecondition("experiment invoked with zero scenes")
     parsed: dict[tuple[ExpectedFormat, str], ParsedDetection] = {}
+    per_scene: list[list[RunResult]] = [[] for _ in scenes]
+    tasks = enumerate(scenes)
+    taking = threading.Lock()
 
-    def query_scene(scene: SceneRecord, gateway: Gateway = gateway) -> list[RunResult]:
+    def next_task() -> tuple[int, SceneRecord] | None:
+        with taking:
+            return next(tasks, None)
+
+    def run(task: tuple[int, SceneRecord], view: Gateway) -> None:
+        index, scene = task
         frame = Frame(scene)
-        return [
-            query_detection(frame, scene.scene_id, prompt, run_idx, gateway, config.params, parsed)
+        per_scene[index] = [
+            query_detection(frame, scene.scene_id, prompt, run_idx, view, config.params, parsed)
             for prompt in prompts
             for run_idx in range(config.runs_per_prompt)
         ]
 
-    if config.parallelism == 1 or gateway.backend.simulated:
-        per_scene = [query_scene(scene) for scene in scenes]
+    workers = 1 if gateway.backend.simulated else config.parallelism
+    if workers == 1:
+        _take_up(next_task, run, gateway)
     else:
-        import threading
         from concurrent.futures import ThreadPoolExecutor
 
-        slots = _RequestSlots(threading.Condition(), config.parallelism)
-        lending = gateway.yielding(slots)
-
-        def query_in_slot(scene: SceneRecord) -> list[RunResult]:
-            with slots:
-                return query_scene(scene, lending)
-
-        # a standby thread per slot keeps every slot busy while tasks back off
-        with ThreadPoolExecutor(max_workers=2 * config.parallelism) as pool:
-            per_scene = list(pool.map(query_in_slot, scenes))
+        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+            helpers = [pool.submit(_take_up, next_task, run, gateway) for _ in range(workers - 1)]
+            _take_up(next_task, run, gateway)
+        for helper in helpers:
+            helper.result()
     by_prompt: dict[str, list[RunResult]] = {prompt.prompt_id: [] for prompt in prompts}
     for result in chain.from_iterable(per_scene):
         by_prompt[result.prompt_id].append(result)

@@ -333,33 +333,29 @@ class Gateway:
     A connection the server drops, or a reply body cut short, is a
     transport fault and is retried like any other.
 
-    The view ``yielding(slots)`` returns sleeps out each backoff with one
-    of ``slots`` given back (``release``), so a caller that holds one of
-    them while it queries lets another caller's request run in the
-    meantime; it takes a slot again (``acquire``) before the next attempt.
+    The view ``lending(spare)`` returns hands each backoff to
+    ``spare(deadline)`` first, with ``deadline`` the ``time.monotonic()`` at
+    which the backoff ends, so its caller can do other work meanwhile;
+    it then sleeps out what is left of the backoff, if anything.
     """
 
-    _slots = None  # what a view made by ``yielding`` lends its slot to
+    _spare = None  # what a view made by ``lending`` hands its backoffs to
 
     def __init__(self, backend) -> None:
         self.backend = backend
 
-    def yielding(self, slots) -> Gateway:
-        """This gateway, of the same class, releasing one of ``slots`` while it backs off."""
+    def lending(self, spare) -> Gateway:
+        """This gateway, of the same class, calling ``spare(deadline)`` at each backoff."""
         view = copy.copy(self)
-        view._slots = slots
+        view._spare = spare
         return view
 
     def _backoff(self, seconds: float) -> None:
-        slots = self._slots
-        if slots is None:
-            time.sleep(seconds)
-            return
-        slots.release()
-        try:
-            time.sleep(seconds)
-        finally:
-            slots.acquire()
+        if self._spare is not None:
+            deadline = time.monotonic() + seconds
+            self._spare(deadline)
+            seconds = max(deadline - time.monotonic(), 0.0)
+        time.sleep(seconds)
 
     def send_vision_query(
         self,
@@ -374,7 +370,8 @@ class Gateway:
         A simulated backend never looks at the pixels; the live backend
         sends the frame's base64 encoding, made once per frame before the
         clock starts, so ``latency`` (first attempt to reply, retries and
-        backoffs included) leaves out the frame's read and encoding.
+        backoffs included, and so whatever a lending view's ``spare`` ran
+        past a backoff) leaves out the frame's read and encoding.
 
         Retries only _BackendFault signals (transport, timeout, rate
         limit), up to params.max_retries extra attempts with exponential

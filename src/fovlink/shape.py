@@ -9,9 +9,9 @@ reason)`` pairs that each reader raises its own error from; a value that
 fits costs no path strings.
 
 ``load_json`` is every reader's ``json.loads``: an integer of more digits
-than Python converts fails as a syntax error does. A number that a reader
-turns into a float must fit one (``fits_float``): an integer of 309 digits
-overflows it.
+than Python converts, or nesting too deep to decode, fails as a syntax
+error does. A number that a reader turns into a float must fit one
+(``fits_float``): an integer of 309 digits overflows it.
 """
 
 from __future__ import annotations
@@ -83,13 +83,16 @@ def utf8_encodable(text: str) -> bool:
 def load_json(doc: str | bytes, **options) -> Any:
     """``json.loads``, except that an integer of more digits than Python converts
     (``sys.get_int_max_str_digits``) raises ``JSONDecodeError`` at the integer,
-    as a syntax error does, not a plain ``ValueError``."""
+    and nesting deeper than the decoder recurses raises it at the start, as a
+    syntax error does, not a plain ``ValueError`` or a ``RecursionError``."""
     try:
         return json.loads(doc, **options)
     except json.JSONDecodeError:
         raise
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:
         text = doc.decode(json.detect_encoding(doc), "surrogatepass") if isinstance(doc, bytes) else doc
+        if isinstance(e, RecursionError):
+            raise json.JSONDecodeError("nesting too deep", text, 0) from None
         limit = sys.get_int_max_str_digits()
         # the text before the integer is valid JSON, so each string there is one whole match
         for token in re.finditer(rf'"(?:[^"\\]|\\.)*"|-?[0-9]{{{limit + 1},}}(?![0-9.eE])', text):

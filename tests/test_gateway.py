@@ -512,54 +512,45 @@ class TestTextThatUTF8CannotHold:
             load_mock_fixture(path)
 
 
-class TestYieldingView:
-    """A view made by ``yielding`` gives its slot back while it sleeps out a backoff."""
+class TestLendingView:
+    """A view made by ``lending`` hands each backoff to ``spare``, then sleeps out only what is left of it."""
 
-    def test_slot_is_free_during_the_backoff_and_held_again_for_the_retry(self, monkeypatch):
-        import threading
-
+    @pytest.mark.parametrize("spare_takes, slept", [(0.1, 0.15), (0.4, 0.0)])
+    def test_spare_gets_the_deadline_and_the_sleep_is_what_is_left(self, monkeypatch, spare_takes, slept):
         import fovlink.gateway
 
-        slots = threading.BoundedSemaphore(1)
+        clock = [100.0]
         seen = []
 
         class Backend(FlakyBackend):
             simulated = False
 
-            def complete(self, image, prompt, params, key):
-                seen.append(("call", slots.acquire(blocking=False)))
-                return super().complete(image, prompt, params, key)
+        def spare(deadline):
+            seen.append(("spare", deadline))
+            clock[0] += spare_takes
 
-        def sleep(seconds):
-            free = slots.acquire(blocking=False)
-            if free:
-                slots.release()
-            seen.append(("sleep", seconds, free))
-
-        monkeypatch.setattr(fovlink.gateway.time, "sleep", sleep)
-        slots.acquire()
-        gateway = Gateway(Backend(failures=1)).yielding(slots)
+        monkeypatch.setattr(fovlink.gateway.time, "monotonic", lambda: clock[0])
+        monkeypatch.setattr(fovlink.gateway.time, "sleep", lambda seconds: seen.append(("sleep", seconds)))
+        gateway = Gateway(Backend(failures=1)).lending(spare)
         response = gateway.send_vision_query(b"img", "prompt", QueryParams(max_retries=2, backoff_base=0.25))
         assert response.attempt_count == 2
-        # False: the slot was taken; the caller holds it on each attempt and on return
-        assert seen == [("call", False), ("sleep", 0.25, True), ("call", False)]
-        assert slots.acquire(blocking=False) is False
-        slots.release()
+        # the backoff ends at 100.25; a spare that overran it leaves no sleep
+        assert seen == [("spare", 100.25), ("sleep", pytest.approx(slept, abs=1e-9))]
 
     def test_a_subclass_stays_a_subclass_and_the_original_is_untouched(self):
-        import threading
-
         class Traced(Gateway):
             pass
 
-        slots = threading.BoundedSemaphore(2)
+        def spare(deadline):
+            pass
+
         original = Traced(FlakyBackend(failures=0))
-        view = original.yielding(slots)
+        view = original.lending(spare)
         assert type(view) is Traced
         assert view is not original
         assert view.backend is original.backend
-        assert view._slots is slots
-        assert original._slots is None
+        assert view._spare is spare
+        assert original._spare is None
 
 
 def test_mock_backend_holds_one_str_per_distinct_reply(tmp_path):

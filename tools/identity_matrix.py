@@ -20,7 +20,7 @@ its own working directory:
   run-0 reply for the (scene, prompt) the request's frame and prompt text
   name (a request carries no run index), and a scripted fault with HTTP
   503 on every attempt: with ``--retries 1`` each one sleeps out one
-  backoff, on the worker threads at ``--parallelism`` 2, and is then
+  backoff, on the two workers at ``--parallelism`` 2, and is then
   recorded as a fault;
 - ``fovlink report --targets csv,records,svg`` on every output directory;
 - ``--help`` of the program and of every subcommand, and usage errors.
