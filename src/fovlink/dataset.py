@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import FovlinkError
-from .shape import NON_EMPTY_TEXT, TEXT, Fields, ListOf, Rule, describe, fits_float, load_json, problems
+from .shape import NON_EMPTY_TEXT, TEXT, Fields, ListOf, Rule, describe, file_lines, fits_float, load_json, problems
 
 # a run divides box coordinates by the image size as floats, so each must fit one
 _SIZE = Rule("must be an integer that fits a float", lambda v: type(v) is int and fits_float(v))
@@ -60,21 +60,21 @@ class EmptyFrame(ManifestError):
 class SchemaViolation(ManifestError):
     """A manifest line does not conform to the schema."""
 
-    def __init__(self, line: int, fld: str, reason: str, violations: list[str] | None = None) -> None:
+    def __init__(self, line: int, fld: str, reason: str) -> None:
         super().__init__(f"line {line}: {describe(fld, reason)}")
         self.line = line
         self.field = fld
-        self.all_violations: list[str] = violations if violations is not None else [str(self)]
+        self.all_violations: list[str] = [str(self)]
 
 
 class InvariantViolation(ManifestError):
     """A structurally valid record breaks a domain invariant."""
 
-    def __init__(self, scene_id: str, reason: str, violations: list[str] | None = None) -> None:
+    def __init__(self, scene_id: str, reason: str) -> None:
         super().__init__(f"scene {scene_id!r}: {reason}")
         self.scene_id = scene_id
         self.reason = reason
-        self.all_violations: list[str] = violations if violations is not None else [str(self)]
+        self.all_violations: list[str] = [str(self)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -194,7 +194,7 @@ class SceneSet:
 
 
 def load_manifest(path: str | Path) -> SceneSet:
-    """Load and validate a scene manifest.
+    """Load and validate a scene manifest, one line at a time (``file_lines``).
 
     Scans the whole file and reports every schema and invariant violation
     found before aborting; the raised exception carries the full report in
@@ -205,56 +205,49 @@ def load_manifest(path: str | Path) -> SceneSet:
     if not path.is_file():
         raise MissingFile(f"manifest not found: {path}")
 
-    schema: list[tuple[int, str, str]] = []
-    invariant: list[tuple[str, str]] = []
+    schema: list[SchemaViolation] = []
+    invariant: list[InvariantViolation] = []
     positives: list[SceneRecord] = []
     negatives: list[SceneRecord] = []
     seen: set[str] = set()
 
     manifest_dir = path.parent
     try:
-        text = path.read_text(encoding="utf-8")
+        for line_no, line in file_lines(path):
+            try:
+                raw = load_json(line)
+            except json.JSONDecodeError as e:
+                schema.append(SchemaViolation(line_no, "", f"invalid JSON ({e.msg})"))
+                continue
+            found = problems(raw, MANIFEST_SHAPE)
+            if found:
+                schema += [SchemaViolation(line_no, fld, reason) for fld, reason in found]
+                continue
+            record = SceneRecord(
+                scene_id=raw["scene_id"],
+                # an absolute image path replaces the directory in the join
+                image_path=manifest_dir / raw["image_path"],
+                width=raw["width"],
+                height=raw["height"],
+                has_pedestrian=raw["has_pedestrian"],
+                gt_boxes=tuple(PixelBBox(*(float(v) for v in box)) for box in raw["gt_boxes"]),
+                tags=frozenset(raw["tags"]),
+            )
+            reason = record.invariant_violation()
+            if reason is None and record.scene_id in seen:
+                reason = "duplicate scene_id"
+            if reason is not None:
+                invariant.append(InvariantViolation(record.scene_id, reason))
+                continue
+            seen.add(record.scene_id)
+            (positives if record.has_pedestrian else negatives).append(record)
     except UnicodeDecodeError as e:
         raise ManifestError(f"manifest {path} is not UTF-8: {e}") from e
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            raw = load_json(line)
-        except json.JSONDecodeError as e:
-            schema.append((line_no, "", f"invalid JSON ({e.msg})"))
-            continue
-        found = problems(raw, MANIFEST_SHAPE)
-        if found:
-            schema += [(line_no, fld, reason) for fld, reason in found]
-            continue
-        record = SceneRecord(
-            scene_id=raw["scene_id"],
-            # an absolute image path replaces the directory in the join
-            image_path=manifest_dir / raw["image_path"],
-            width=raw["width"],
-            height=raw["height"],
-            has_pedestrian=raw["has_pedestrian"],
-            gt_boxes=tuple(PixelBBox(*(float(v) for v in box)) for box in raw["gt_boxes"]),
-            tags=frozenset(raw["tags"]),
-        )
-        reason = record.invariant_violation()
-        if reason is None and record.scene_id in seen:
-            reason = "duplicate scene_id"
-        if reason is not None:
-            invariant.append((record.scene_id, reason))
-            continue
-        seen.add(record.scene_id)
-        (positives if record.has_pedestrian else negatives).append(record)
 
-    # every violation as its own exception would state it
-    report = [str(SchemaViolation(*v)) for v in schema] + [
-        str(InvariantViolation(*v)) for v in invariant
-    ]
-    if schema:
-        raise SchemaViolation(*schema[0], report)
-    if invariant:
-        raise InvariantViolation(*invariant[0], report)
+    violations = schema + invariant
+    if violations:
+        violations[0].all_violations = [str(v) for v in violations]
+        raise violations[0]
     return SceneSet(positives=tuple(positives), negatives=tuple(negatives))
 
 

@@ -248,8 +248,10 @@ def _dispatch(
     gateway view from ``Gateway.lending`` until the backoff's deadline
     passes, then sleeps out what is left of it, so at most ``parallelism``
     requests are in flight and no worker idles through a backoff while
-    tasks remain. Every task parses through one memo that lasts for this
-    dispatch only.
+    tasks remain. An exception on any worker, a KeyboardInterrupt on the
+    calling thread among them, stops every worker from taking another
+    task. Every task parses through one memo that lasts for this dispatch
+    only.
     """
     if not scenes:
         raise ExperimentPrecondition("experiment invoked with zero scenes")
@@ -257,10 +259,11 @@ def _dispatch(
     per_scene: list[list[RunResult]] = [[] for _ in scenes]
     tasks = enumerate(scenes)
     taking = threading.Lock()
+    stop = threading.Event()
 
     def next_task() -> tuple[int, SceneRecord] | None:
         with taking:
-            return next(tasks, None)
+            return None if stop.is_set() else next(tasks, None)
 
     def run(task: tuple[int, SceneRecord], view: Gateway) -> None:
         index, scene = task
@@ -271,15 +274,24 @@ def _dispatch(
             for run_idx in range(config.runs_per_prompt)
         ]
 
+    def work() -> None:
+        try:
+            _take_up(next_task, run, gateway)
+        except BaseException:
+            # each worker finishes the task it holds; a flag, not the
+            # exception, so that no reference cycle holds the results
+            stop.set()
+            raise
+
     workers = 1 if gateway.backend.simulated else config.parallelism
     if workers == 1:
-        _take_up(next_task, run, gateway)
+        work()
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-            helpers = [pool.submit(_take_up, next_task, run, gateway) for _ in range(workers - 1)]
-            _take_up(next_task, run, gateway)
+            helpers = [pool.submit(work) for _ in range(workers - 1)]
+            work()
         for helper in helpers:
             helper.result()
     by_prompt: dict[str, list[RunResult]] = {prompt.prompt_id: [] for prompt in prompts}

@@ -307,6 +307,8 @@ class LiveBackend:
             with urllib.request.urlopen(request, timeout=params.timeout) as reply:
                 return parse_chat_reply(reply.read())
         except urllib.error.HTTPError as e:
+            # the error holds the reply and its socket, which no one reads
+            e.close()
             if e.code == 429:
                 raise _BackendFault("rate_limit", f"HTTP 429: {e.reason}") from e
             if 400 <= e.code < 500 and e.code != 408:

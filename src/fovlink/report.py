@@ -60,7 +60,7 @@ from .stats import (  # noqa: F401
     derive_detection_stats,
     summarize_localization,
 )
-from .shape import COMPACT_JSON, FLOAT, FOUR_NUMBERS, NON_NEGATIVE_INT, NULL, NUMBER, Fields, Nullable, Rule, describe, fits_float, load_json, problems, utf8_encodable
+from .shape import COMPACT_JSON, FLOAT, FOUR_NUMBERS, NON_NEGATIVE_INT, NULL, NUMBER, Fields, Nullable, Rule, describe, file_lines, fits_float, load_json, problems, utf8_encodable
 from .v2v import DialogueTranscript, LinkModel, V2VMessage, decode_message, encode_message
 
 RENDER_TARGETS = ("csv", "records", "svg")
@@ -506,30 +506,15 @@ def emit_report(bundle: ReportBundle, targets, out_dir: str | Path) -> list[Path
 
 
 def _read_lines(path: Path, decode: Callable[[str], object]) -> list:
-    """``decode`` of each non-blank line of ``path``; a decode error names the file and line.
-
-    The file is read one line at a time, with universal newlines as ``read_text`` reads it. It is
-    decoded a block of a few KB at a time, so a malformed line in a block before the one holding
-    bytes that are not UTF-8 is reported first.
-    """
+    """``decode`` of each non-blank line of ``path`` (``file_lines``); a decode error names the file and line."""
     decoded = []
     try:
-        with open(path, encoding="utf-8") as f:
-            for line_no, line in enumerate(f, start=1):
-                if line.strip():
-                    try:
-                        decoded.append(decode(line.removesuffix("\n")))
-                    except FovlinkError as e:
-                        raise ReportError(f"{path.name} line {line_no}: {e}") from e
+        for line_no, line in file_lines(path):
+            try:
+                decoded.append(decode(line))
+            except FovlinkError as e:
+                raise ReportError(f"{path.name} line {line_no}: {e}") from e
     except UnicodeDecodeError as e:
-        # the reader decodes a block at a time, so its error counts the bad byte from the
-        # block's start; decoding the whole file gives its position in the file
-        with open(path, "rb") as f:
-            data = f.read()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as whole:
-            e = whole
         raise ReportError(f"{path.name} is not UTF-8: {e}") from e
     return decoded
 

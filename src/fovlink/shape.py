@@ -11,15 +11,17 @@ fits costs no path strings.
 ``load_json`` is every reader's ``json.loads``: an integer of more digits
 than Python converts, or nesting too deep to decode, fails as a syntax
 error does. A number that a reader turns into a float must fit one
-(``fits_float``): an integer of 309 digits overflows it.
+(``fits_float``): an integer of 309 digits overflows it. ``file_lines``
+reads every line-delimited file: the manifest, records and V2V transcript.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 NULL = type(None)
 NUMBER = (int, float)
@@ -98,6 +100,24 @@ def load_json(doc: str | bytes, **options) -> Any:
         for token in re.finditer(rf'"(?:[^"\\]|\\.)*"|-?[0-9]{{{limit + 1},}}(?![0-9.eE])', text):
             if token[0][0] != '"':
                 raise json.JSONDecodeError(f"integer of more than {limit} digits", text, token.start()) from e
+        raise
+
+
+def file_lines(path: str | os.PathLike[str]) -> Iterator[tuple[int, str]]:
+    """``(line number, text without its newline)`` of each non-blank line of a UTF-8 file, read one at a time.
+
+    Lines end at ``\\n``, ``\\r\\n`` or a lone ``\\r``. Bytes that are not UTF-8 raise ``UnicodeDecodeError``
+    at their position in the whole file, once the lines of the blocks of a few KB before them are yielded.
+    """
+    try:
+        with open(path, encoding="utf-8") as f:
+            for line_no, line in enumerate(f, start=1):
+                if line.strip():
+                    yield line_no, line.removesuffix("\n")
+    except UnicodeDecodeError:
+        # the reader's error counts from the start of its block: decoding the whole file counts from its start
+        with open(path, "rb") as f:
+            f.read().decode("utf-8")
         raise
 
 

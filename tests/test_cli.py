@@ -83,6 +83,23 @@ class TestExp1:
         )
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("command, records", [("exp1", []), ("exp2", [scene_line("neg_a", positive=False)])])
+    def test_zero_scenes_is_data_error(self, tmp_path, capsys, command, records):
+        # exp2 runs over the positives only
+        manifest = write_manifest(tmp_path, records)
+        fixture = write_fixture(tmp_path, {})
+        code = run_cli(command, "--manifest", manifest, "--fixture", fixture, "--out", tmp_path / "out")
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == "fovlink: experiment invoked with zero scenes\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_image_width_is_data_error(self, tmp_path, capsys):
+        manifest = write_manifest(tmp_path, [scene_line("a", positive=False, width=0, height=10)])
+        fixture = write_fixture(tmp_path, {})
+        code = run_cli("exp1", "--manifest", manifest, "--fixture", fixture, "--out", tmp_path / "out")
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == "fovlink: scene 'a': non-positive image dimensions 0x10\n"
+
     def test_unscripted_key_is_data_error(self, workspace):
         tmp_path, manifest, _ = workspace
         fixture = write_fixture(tmp_path, {})
@@ -693,6 +710,29 @@ def test_a_live_frame_that_vanishes_after_it_was_opened_is_io_error(workspace, m
     assert capsys.readouterr().err == f"fovlink: i/o error: [Errno 2] No such file or directory: '{frame}'\n"
     assert server.connections == 0
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("parallelism", [1, 2, 4])
+def test_a_live_run_stops_at_its_first_error(tmp_path, monkeypatch, capsys, parallelism):
+    # the other workers used to take every remaining scene before the error surfaced:
+    # 117 of 120 requests at parallelism 2 and 4
+    records = [scene_line(f"s{i:02d}", positive=False) for i in range(40)]
+    manifest = write_manifest(tmp_path, records)
+    missing = load_manifest(manifest).by_id["s20"].image_path
+    missing.unlink()
+    with LoopbackServer(lambda body: completion_reply("no")) as server:
+        monkeypatch.setenv("FOVLINK_BASE_URL", server.url)
+        code = run_cli(
+            "exp1", "--backend", "live", "--manifest", manifest, "--runs", 3, "--retries", 0,
+            "--parallelism", parallelism, "--out", tmp_path / "out",
+        )
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err == f"fovlink: i/o error: [Errno 2] No such file or directory: '{missing}'\n"
+    # the 20 scenes before the missing frame, and at most the one scene each other worker holds
+    if parallelism == 1:
+        assert server.connections == 60
+    else:
+        assert server.connections <= 3 * (20 + parallelism - 1)
 
 
 def test_an_unreachable_host_on_the_reply_side_is_a_recorded_fault(workspace, monkeypatch, capsys):

@@ -262,6 +262,15 @@ class TestRunConsistency:
         assert all(not r.flagged for r in records)
         assert all(r.min_pairwise_iou == 1.0 for r in records)
 
+    def test_identical_zero_area_boxes_agree(self, small_manifest):
+        # IoU is undefined for boxes of no area; equal ones agree fully
+        scenes = load_manifest(small_manifest)
+        script = localization_script(scenes, "(0.2,0.3), (0.6,0.3)", runs=3)
+        outcome = self._run(small_manifest, script)
+        records = analyze_run_consistency(outcome.results)
+        assert len(records) == len(scenes.positives)
+        assert all(r.min_pairwise_iou == 1.0 and not r.flagged for r in records)
+
     def test_mixed_kinds_flagged(self, small_manifest):
         scenes = load_manifest(small_manifest)
         script = localization_script(scenes, GT_TEMPLATE, runs=3)
@@ -917,3 +926,39 @@ def test_threads_sharing_the_parse_memo_give_each_reply_its_own_detection(tmp_pa
     assert len(outcome.results) == 120
     for r in outcome.results:
         assert r.detection == detect_bbox(script[script_key(r.scene_id, r.prompt_id, r.run_idx)]["text"])
+
+
+class InterruptedLive(LiveBackend):
+    """A live backend whose ``at``-th request on the calling thread raises ``KeyboardInterrupt``, as Ctrl-C would."""
+
+    def __init__(self, base_url, at) -> None:
+        super().__init__(base_url=base_url)
+        self.caller = threading.get_ident()
+        self.at = at
+        self.calls = 0
+        self.sent_before_interrupt = None
+        self.lock = threading.Lock()
+
+    def complete(self, image, prompt, params, key):
+        with self.lock:
+            if threading.get_ident() == self.caller:
+                self.at -= 1
+                if self.at == 0:
+                    self.sent_before_interrupt = self.calls
+                    raise KeyboardInterrupt
+            self.calls += 1
+        return super().complete(image, prompt, params, key)
+
+
+@pytest.mark.parametrize("parallelism", [1, 2, 4])
+def test_a_keyboard_interrupt_on_the_calling_thread_stops_every_worker(tmp_path, parallelism):
+    # the pool threads used to query every remaining scene before the interrupt surfaced
+    scenes = load_manifest(write_manifest(tmp_path, [scene_line(f"s{i:02d}", positive=False) for i in range(40)]))
+    config = ExperimentConfig(runs_per_prompt=3, parallelism=parallelism, params=QueryParams(backoff_base=0.0))
+    with LoopbackServer(lambda body: completion_reply("no")) as server:
+        backend = InterruptedLive(server.url, at=4)
+        with pytest.raises(KeyboardInterrupt):
+            run_binary_experiment(scenes, "BIN", Gateway(backend), config)
+    assert backend.sent_before_interrupt is not None
+    # each other worker finishes the scene it holds, at most 3 requests, and takes no other
+    assert server.connections == backend.calls <= backend.sent_before_interrupt + 3 * (parallelism - 1)

@@ -376,6 +376,23 @@ class TestHTTPStatusRetries:
         assert all("transport after" in a and f"HTTP {status}" in a for a in attempts)
         assert "not retried" not in str(raised.value)
 
+    @pytest.mark.parametrize("status", [400, 429, 503])
+    def test_an_error_reply_leaves_no_socket_open(self, status, monkeypatch):
+        # the HTTPError of each attempt used to keep its reply's socket open until the garbage
+        # collector freed it, with a ResourceWarning when the socket was finalized first
+        import http.client
+
+        sockets = []
+        connect = http.client.HTTPConnection.connect
+        monkeypatch.setattr(http.client.HTTPConnection, "connect", lambda conn: connect(conn) or sockets.append(conn.sock))
+        with LoopbackServer(lambda body: http_reply(b'{"error": "no"}', status=status)) as server:
+            with pytest.raises((RateLimitedExhausted, TransportError)) as raised:
+                Gateway(LiveBackend(base_url=server.url)).send_vision_query(b"img", "prompt", PARAMS)
+        # the error, and the chain of errors it was raised from, are still held here
+        assert raised.value.attempts
+        assert len(sockets) == server.connections
+        assert [sock.fileno() for sock in sockets] == [-1] * server.connections
+
 
 class TestQueryParams:
     def test_determinism_leaning_defaults(self):

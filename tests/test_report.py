@@ -1005,6 +1005,14 @@ def test_a_transcript_line_that_is_not_its_canonical_encoding_exits_2_and_writes
     assert {p.name: p.read_bytes() for p in v2v_dir.iterdir()} == before
 
 
+def test_a_transcript_line_that_is_not_an_object_exits_2_and_writes_nothing(v2v_dir, capsys):
+    _rewrite_transcript(v2v_dir, lambda message: "[]")
+    before = {p.name: p.read_bytes() for p in v2v_dir.iterdir()}
+    assert main(["report", "--in", str(v2v_dir)]) == EXIT_DATA
+    assert capsys.readouterr().err == "fovlink: v2v_transcript.jsonl line 1: message must be an object\n"
+    assert {p.name: p.read_bytes() for p in v2v_dir.iterdir()} == before
+
+
 def test_a_transcript_with_crlf_endings_rerenders_as_the_one_with_lf_endings(v2v_dir):
     # a \r\n ending is read as \n, so the \r counts toward no message's size
     before = {p.name: p.read_bytes() for p in v2v_dir.iterdir()}

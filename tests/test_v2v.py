@@ -400,6 +400,27 @@ class TestRunDialogue:
         assert transcript.stream_bytes == image_bytes
         assert transcript.dialogue_bytes < 0.05 * IMAGE_218_6_KB
 
+    def test_a_yes_no_prompt_answers_with_the_verdict(self, dialogue_setup):
+        # an unparseable reply is coerced to a positive verdict, so it reports presence
+        scenes, ego, _, _ = dialogue_setup
+        remotes = [
+            VehicleAgent("vehicle_a", Role.REMOTE, current_frame="neg_a"),
+            VehicleAgent("vehicle_b", Role.REMOTE, current_frame="pos_a"),
+            VehicleAgent("vehicle_c", Role.REMOTE, current_frame="pos_b"),
+        ]
+        script = {
+            script_key("neg_a", "BIN", 0): {"text": "no"},
+            script_key("pos_a", "BIN", 0): {"text": "yes"},
+            script_key("pos_b", "BIN", 0): {"text": "maybe"},
+        }
+        transcript = run_dialogue(ego, remotes, scenes, "BIN", Gateway(MockBackend(script)), VANET_LINK, PARAMS)
+        assert [m.msg_type for m in transcript.messages] == [MsgType.QUERY, MsgType.RESPONSE] * 3
+        assert [m.payload for m in transcript.messages[1::2]] == [
+            ResponsePayload(presence=False),
+            ResponsePayload(presence=True),
+            ResponsePayload(presence=True),
+        ]
+
     def test_remote_order_is_by_vehicle_id(self, dialogue_setup):
         scenes, ego, remotes, script = dialogue_setup
         transcript = run_dialogue(
