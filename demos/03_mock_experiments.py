@@ -9,11 +9,12 @@ from fovlink.dataset import load_manifest
 from fovlink.experiments import (
     ExperimentConfig,
     analyze_run_consistency,
+    lowlight_by_scene,
     run_binary_experiment,
     run_localization_experiment,
 )
 from fovlink.gateway import Gateway, MockBackend, QueryParams
-from fovlink.report import ReportBundle, emit_report
+from fovlink.report import emit_report, report_bundle
 
 workdir = Path(tempfile.mkdtemp(prefix="fovlink_demo_"))
 print("working in", workdir)
@@ -68,12 +69,10 @@ print(f"  recall_all {s.recall_mean_all * 100:.2f}%  iou_overlapping "
 flagged = [c for c in analyze_run_consistency(localization.results) if c.flagged]
 print("\nscenes with inconsistent runs:", [c.scene_id for c in flagged])
 
-bundle = ReportBundle(
-    binary=binary,
-    localization=localization,
-    consistency=analyze_run_consistency(list(binary.results) + list(localization.results)),
-    labels={r.scene_id: r.has_pedestrian for r in scenes},
-    lowlight={r.scene_id: bool(r.tags & {"dusk", "sunset", "shade", "solar_glare"}) for r in scenes},
+# the bundle `fovlink report` rebuilds from the records: consistency over
+# both experiments, and the low-light share of the localization failures
+bundle = report_bundle(
+    {"binary": binary, "localization": localization}, dict(scenes.labels()), lowlight_by_scene(scenes)
 )
 for path in emit_report(bundle, ["csv", "records", "svg"], workdir / "report"):
     print("wrote", path)

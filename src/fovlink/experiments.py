@@ -13,18 +13,18 @@ per task, at its first query, and the task keeps only the encoding:
 experiment 3 reads each positive once for all its prompts, and a
 simulated backend, which never looks at the pixels, reads no frame. For
 a backend that waits on the network, ``parallelism`` is the number of
-workers, the calling thread and ``parallelism - 1`` pool threads, so it
-caps the requests in flight; only a run with pool threads imports
-``concurrent.futures``. A worker whose query sleeps out a retry's backoff
-runs the next whole tasks meanwhile, and a task taken up that way may
-lend its own backoffs one level deeper, but no further. A simulated
-backend never waits, so its tasks run on the calling thread whatever the
-parallelism. A dispatch parses each distinct reply once per expected
-format: results that received equal replies share one frozen detection.
-Each prompt's results are sorted by (scene_id, prompt_id, run_idx) so
-output never depends on completion order. Per-scene gateway faults
-become recorded fault results; a run aborts only when every scene failed
-for a prompt, or for one run of experiment 1.
+workers, at most one per scene: the calling thread and plain threads, no
+thread pool, so it caps the requests in flight. A worker whose query
+sleeps out a retry's backoff runs the next whole tasks meanwhile, and a
+task taken up that way may lend its own backoffs one level deeper, but
+no further. A simulated backend never waits, so its tasks run on the
+calling thread whatever the parallelism. A dispatch parses each distinct
+reply once per expected format: results that received equal replies
+share one frozen detection. Each prompt's results are sorted by
+(scene_id, prompt_id, run_idx) so output never depends on completion
+order. Per-scene gateway faults become recorded fault results; a run
+aborts only when every scene failed for a prompt, or for one run of
+experiment 1.
 """
 
 from __future__ import annotations
@@ -171,7 +171,7 @@ def query_detection(
     run_idx: int,
     gateway: Gateway,
     params: QueryParams,
-    parsed: dict[tuple[ExpectedFormat, str], ParsedDetection] | None = None,
+    parsed: dict[tuple[ExpectedFormat, str], ParsedDetection],
 ) -> RunResult:
     """Ask the vision model about one frame and parse its reply.
 
@@ -205,7 +205,7 @@ def query_detection(
         scene_id=scene_id,
         prompt_id=prompt.prompt_id,
         run_idx=run_idx,
-        detection=_detect(prompt.expected_format, response.text, {} if parsed is None else parsed),
+        detection=_detect(prompt.expected_format, response.text, parsed),
         latency=response.latency,
         raw_text=response.text,
     )
@@ -243,15 +243,15 @@ def _dispatch(
     from one iterator and write each task's results at its scene's index.
     A simulated backend answers at once, so its one worker is the calling
     thread; a backend that waits on the network gets ``parallelism``
-    workers, the calling thread and ``parallelism - 1`` pool threads. A
-    worker whose query backs off takes up the next whole tasks through the
-    gateway view from ``Gateway.lending`` until the backoff's deadline
-    passes, then sleeps out what is left of it, so at most ``parallelism``
-    requests are in flight and no worker idles through a backoff while
-    tasks remain. An exception on any worker, a KeyboardInterrupt on the
-    calling thread among them, stops every worker from taking another
-    task. Every task parses through one memo that lasts for this dispatch
-    only.
+    workers, at most one per scene: the calling thread and plain threads,
+    no pool. A worker whose query backs off takes up the next whole tasks
+    through the gateway view from ``Gateway.lending`` until the backoff's
+    deadline passes, then sleeps out what is left of it, so at most
+    ``parallelism`` requests are in flight and no worker idles through a
+    backoff while tasks remain. An exception on any worker, a
+    KeyboardInterrupt on the calling thread among them, stops every worker
+    from taking another task and is raised once all are done. Every task
+    parses through one memo that lasts for this dispatch only.
     """
     if not scenes:
         raise ExperimentPrecondition("experiment invoked with zero scenes")
@@ -259,11 +259,11 @@ def _dispatch(
     per_scene: list[list[RunResult]] = [[] for _ in scenes]
     tasks = enumerate(scenes)
     taking = threading.Lock()
-    stop = threading.Event()
+    failures: list[BaseException] = []
 
     def next_task() -> tuple[int, SceneRecord] | None:
         with taking:
-            return None if stop.is_set() else next(tasks, None)
+            return None if failures else next(tasks, None)
 
     def run(task: tuple[int, SceneRecord], view: Gateway) -> None:
         index, scene = task
@@ -277,23 +277,22 @@ def _dispatch(
     def work() -> None:
         try:
             _take_up(next_task, run, gateway)
-        except BaseException:
-            # each worker finishes the task it holds; a flag, not the
-            # exception, so that no reference cycle holds the results
-            stop.set()
-            raise
+        except BaseException as e:
+            # every worker finishes the task it holds and takes no other
+            failures.append(e)
 
-    workers = 1 if gateway.backend.simulated else config.parallelism
-    if workers == 1:
-        work()
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-            helpers = [pool.submit(work) for _ in range(workers - 1)]
-            work()
-        for helper in helpers:
-            helper.result()
+    workers = 1 if gateway.backend.simulated else min(config.parallelism, len(scenes))
+    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    if failures:
+        # the first failure leaves the list as it is raised: its traceback
+        # holds the frames that hold the list, so no reference cycle is left
+        del failures[1:]
+        raise failures.pop()
     by_prompt: dict[str, list[RunResult]] = {prompt.prompt_id: [] for prompt in prompts}
     for result in chain.from_iterable(per_scene):
         by_prompt[result.prompt_id].append(result)

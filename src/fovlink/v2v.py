@@ -31,7 +31,7 @@ from .geometry import NonFiniteInput, NormalizedBBox
 from .parsing import DetectionKind, FailureKind, ParsedDetection
 # bench/spans.py traces the parsers under these names
 from .parsing import detect_bbox, detect_binary  # noqa: F401
-from .prompts import get_prompt
+from .prompts import ExpectedFormat, get_prompt
 from .shape import COMPACT_JSON, FLOAT, NON_EMPTY_TEXT, NON_NEGATIVE_INT, NULL, NUMBER, TEXT, Fields, ListOf, Nullable, describe, load_json, problems
 
 PROTOCOL_VERSION = "1"
@@ -299,6 +299,7 @@ def run_dialogue(
 
     messages: list[V2VMessage] = []
     sizes: list[int] = []
+    parsed: dict[tuple[ExpectedFormat, str], ParsedDetection] = {}  # one parse per distinct reply
     stream_bytes = 0
     clock = 0.0  # simulated seconds since dialogue start
 
@@ -324,7 +325,7 @@ def run_dialogue(
 
         frame = Frame(scene)
         stream_bytes += frame.size
-        result = query_detection(frame, scene.scene_id, prompt, 0, gateway, params)
+        result = query_detection(frame, scene.scene_id, prompt, 0, gateway, params, parsed)
         clock += result.latency
         if result.fault is None:
             msg_type, payload = MsgType.RESPONSE, _response_payload(result.detection)

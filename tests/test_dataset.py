@@ -59,6 +59,14 @@ def test_positive_without_boxes_is_invariant_violation(tmp_path):
     assert exc.value.scene_id == "bad"
 
 
+def test_a_scene_set_with_one_scene_id_twice_is_invariant_violation(tmp_path):
+    path = write_manifest(tmp_path, [scene_line("twice", positive=False)])
+    (record,) = load_manifest(path)
+    with pytest.raises(InvariantViolation, match="duplicate scene_id") as exc:
+        SceneSet(positives=(), negatives=(record, record))
+    assert exc.value.scene_id == "twice"
+
+
 def test_negative_with_boxes_is_invariant_violation(tmp_path):
     records = [scene_line("bad", positive=False, boxes=[[1.0, 1.0, 2.0, 2.0]])]
     path = write_manifest(tmp_path, records, create_images=False)

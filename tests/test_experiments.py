@@ -45,6 +45,15 @@ NO_PED_REPLY = "I cannot identify any pedestrian in this image."
 GT_TEMPLATE = "(0.4,0.4), (0.6,0.8)"
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [({"runs_per_prompt": 0}, "runs_per_prompt must be >= 1"), ({"parallelism": 0}, "parallelism must be >= 1")],
+)
+def test_a_config_below_one_run_or_one_worker_is_rejected(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(**kwargs)
+
+
 def binary_script(scenes, prompt_id="BIN", runs=1, flip=(), fault=()):
     """Truthful yes/no answers, with chosen scenes flipped or faulted."""
     script = {}
@@ -870,6 +879,62 @@ def test_a_dispatch_leaves_no_reference_cycle(tmp_path, backend_for, parallelism
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+class HelperFault(Exception):
+    """Raised by ``FailingOffTheCallingThread`` on a worker that is not the calling thread."""
+
+
+class FailingOffTheCallingThread(NetworkMock):
+    """Raises ``HelperFault`` on every call off the calling thread; the calling thread's calls wait for one."""
+
+    def __init__(self, script) -> None:
+        super().__init__(script)
+        self.caller = threading.get_ident()
+        self.raised = threading.Event()
+
+    def complete(self, image, prompt, params, key):
+        if threading.get_ident() != self.caller:
+            self.raised.set()
+            raise HelperFault(key)
+        assert self.raised.wait(10)
+        return super().complete(image, prompt, params, key)
+
+
+@pytest.mark.parametrize("parallelism", [2, 4])
+def test_an_error_raised_on_a_helper_thread_leaves_no_reference_cycle(tmp_path, parallelism):
+    # an error a pool thread raised came back through its future, which left
+    # about 250 objects in reference cycles once the error was handled
+    import gc
+
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            lending_run(tmp_path, FailingOffTheCallingThread, parallelism)
+        except HelperFault:
+            pass
+        else:
+            pytest.fail("the helper thread's error was not raised")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_a_live_dispatch_starts_no_more_workers_than_scenes(tmp_path, monkeypatch):
+    # a pool of 15 threads started 5 or 6 of them for 3 scenes
+    constructed = []
+
+    class CountedThread(threading.Thread):
+        def __init__(self, *args, **kwargs) -> None:
+            super().__init__(*args, **kwargs)
+            constructed.append(self)
+
+    monkeypatch.setattr(threading, "Thread", CountedThread)
+    result, backend = lending_run(tmp_path, lambda script: SlowNetworkBackend(script, None), 16, n_scenes=3)
+    assert len(constructed) <= 2
+    assert backend.peak <= 3
+    assert [r.fault for r in result.results] == [None] * 3
 
 
 @pytest.mark.parametrize("parallelism", [1, 2])

@@ -73,6 +73,11 @@ class TestMockBackend:
         with pytest.raises(UnscriptedKey):
             gateway.send_vision_query(b"img", "prompt", PARAMS, ("ghost", "BIN", 0))
 
+    def test_a_query_with_no_key(self):
+        gateway = Gateway(MockBackend({}))
+        with pytest.raises(UnscriptedKey, match="mock backend requires a query key"):
+            gateway.send_vision_query(b"img", "prompt", PARAMS)
+
     def test_mock_lookup_direct(self):
         script = {script_key("s", "P1", 2): {"text": "(0.1,0.1), (0.2,0.2)"}}
         assert mock_lookup(script, ("s", "P1", 2))["text"] == "(0.1,0.1), (0.2,0.2)"
@@ -274,6 +279,24 @@ class TestLiveBackend:
             Gateway(backend).send_vision_query(b"img", "prompt", PARAMS)
         assert calls["n"] == 3
 
+
+    def test_a_timeout_wrapped_in_a_url_error_is_retried_as_a_timeout(self, monkeypatch):
+        import urllib.error
+
+        calls = {"n": 0}
+
+        def fake_urlopen(request, timeout):
+            calls["n"] += 1
+            raise urllib.error.URLError(TimeoutError("timed out while connecting"))
+
+        monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
+        backend = LiveBackend(base_url="https://inference.example/v1")
+        with pytest.raises(Timeout) as raised:
+            Gateway(backend).send_vision_query(b"img", "prompt", PARAMS)
+        assert calls["n"] == PARAMS.max_retries + 1
+        for n, attempt in enumerate(raised.value.attempts, start=1):
+            assert attempt.startswith(f"attempt {n}: timeout after ")
+            assert "timed out while connecting" in attempt
 
     def test_read_timeout_raises_timeout(self):
         def respond(body):

@@ -52,6 +52,15 @@ class TestNormalizeBBox:
         with pytest.raises(DimensionMismatch):
             normalize_bbox(PixelBBox(0, 0, 2000, 100), 1920, 1280)
 
+    def test_zero_width_image_rejected(self):
+        with pytest.raises(DimensionMismatch, match="image dimensions must be positive: 0x1280"):
+            normalize_bbox(PixelBBox(0, 0, 0, 100), 0, 1280)
+
+
+def test_a_box_with_its_corners_swapped_is_rejected():
+    with pytest.raises(ValueError, match=r"corners not canonical: \(0.5,0\)-\(0.4,1\)"):
+        NormalizedBBox(0.5, 0, 0.4, 1)
+
 
 class TestCanonicalizeBBox:
     def test_corner_swap(self):

@@ -1,8 +1,8 @@
 """A fovlink process imports only what it runs.
 
-The HTTP stack, the thread pool, logging, statistics and hashlib load at
-their one point of use, so a mock run, a re-render and the set-up of a
-live backend never pay for them. Each check runs in a fresh interpreter,
+The HTTP stack, logging, statistics and hashlib load at their one point
+of use, so a mock run, a re-render and the set-up of a live backend never
+pay for them; no run loads the thread pool. Each check runs in a fresh interpreter,
 since this test process has long imported all of them.
 """
 
@@ -80,3 +80,18 @@ def test_a_live_run_imports_the_http_stack_on_its_worker_threads(tmp_path):
     records = [json.loads(line) for line in (out / "binary_results.jsonl").read_text(encoding="utf-8").splitlines()]
     assert len(records) == 6
     assert [r for r in records if r["outcome"] != "verdict"] == []
+
+
+def test_a_live_run_on_two_workers_imports_no_thread_pool(tmp_path):
+    manifest, _ = _workspace(tmp_path)
+    argv = ["exp1", "--backend", "live", "--manifest", manifest, "--runs", "2", "--parallelism", "2"]
+    probe = "import json, sys, fovlink.cli; print(json.dumps([fovlink.cli.main(sys.argv[1:]), sorted(sys.modules)]))"
+    with LoopbackServer(lambda body: completion_reply("no")) as server:
+        done = _fresh_python(
+            ["-c", probe, *map(str, argv), "--out", str(tmp_path / "out")], tmp_path, FOVLINK_BASE_URL=server.url
+        )
+    assert done.returncode == 0, done.stderr
+    assert server.connections == 6
+    code, modules = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0
+    assert [m for m in POOL if m in modules] == []

@@ -1112,6 +1112,13 @@ def test_a_failed_write_keeps_the_previous_file_and_leaves_no_temporary(small_ma
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+def test_a_records_line_decodes_without_a_shared_id_table():
+    detection = ParsedDetection(kind=DetectionKind.VERDICT, verdict=True, raw_excerpt="yes")
+    result = RunResult("scene_00001", "BIN", 0, detection, 0.25, "yes")
+    line = COMPACT_JSON.encode(result_to_record(result, None, True, False))
+    assert _decode_record(line) == (result, None, True, False)
+
+
 def _binary_records_bundle(n: int) -> ReportBundle:
     """A records-only binary bundle of ``n`` results, one per scene."""
     detection = ParsedDetection(kind=DetectionKind.VERDICT, verdict=True, raw_excerpt="yes")

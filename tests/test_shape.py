@@ -57,6 +57,8 @@ def test_every_problem_is_named_by_path_in_table_order():
         ({"a": {"b": [1, "x"]}}, Fields({"a": Fields({"b": ListOf((int,))})}), [("a.b[1]", "has type str")]),
         ({"a": []}, Fields({"a": ListOf((int,))}), []),
         ({"a": {}}, Fields({"a": ListOf((int,))}), [("a", "must be a list")]),
+        (5, Nullable((str,)), [("", "has type int")]),
+        (None, Nullable((str,)), []),
     ],
 )
 def test_forms(value, shape, found):

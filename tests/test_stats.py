@@ -88,6 +88,15 @@ class TestDeriveDetectionStats:
         with pytest.raises(EmptyConfusionMatrix):
             derive_detection_stats(ConfusionMatrix(0, 0, 0, 0))
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="negative count in confusion matrix: -1"):
+            ConfusionMatrix(-1, 0, 0, 0)
+
+    def test_require_of_an_unknown_name(self):
+        stats = derive_detection_stats(ConfusionMatrix(1, 0, 0, 1))
+        with pytest.raises(KeyError, match="nope"):
+            stats.require("nope")
+
     def test_partial_undefined_statistics(self):
         stats = derive_detection_stats(ConfusionMatrix(0, 0, 0, 1))
         assert stats.specificity == 1.0

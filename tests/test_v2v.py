@@ -452,6 +452,16 @@ class TestRunDialogue:
         with pytest.raises(ScenarioError):
             run_dialogue(ego, [stranger], scenes, "P1", Gateway(MockBackend(script)), VANET_LINK, PARAMS)
 
+    def test_an_ego_that_is_no_ego_rejected(self, dialogue_setup):
+        scenes, _, remotes, script = dialogue_setup
+        with pytest.raises(ValueError, match="vehicle 'vehicle_a' is not the ego"):
+            run_dialogue(remotes[0], remotes[1:], scenes, "P1", Gateway(MockBackend(script)), VANET_LINK, PARAMS)
+
+    def test_a_remote_that_is_no_remote_rejected(self, dialogue_setup):
+        scenes, ego, remotes, script = dialogue_setup
+        with pytest.raises(ValueError, match="vehicle 'ego' is not a remote"):
+            run_dialogue(ego, [*remotes, ego], scenes, "P1", Gateway(MockBackend(script)), VANET_LINK, PARAMS)
+
     def test_only_a_backend_that_is_not_simulated_reads_the_frames(self, dialogue_setup, frame_reads):
         scenes, ego, remotes, script = dialogue_setup
         frame_sizes = sum(scenes.by_id[r.current_frame].image_path.stat().st_size for r in remotes)
@@ -498,6 +508,16 @@ class TestTranscriptInvariants:
         with pytest.raises(ValueError):
             DialogueTranscript(
                 messages=(make_response_message(),),
+                sizes=(10,),
+                link=VANET_LINK,
+                stream_bytes=0,
+            )
+
+    def test_one_size_too_few_rejected(self):
+        query = V2VMessage(MsgType.QUERY, "ego", "vehicle_a", "q0000", 0, QueryPayload("P1", "where?"))
+        with pytest.raises(ValueError, match="one size per message required"):
+            DialogueTranscript(
+                messages=(query, make_response_message()),
                 sizes=(10,),
                 link=VANET_LINK,
                 stream_bytes=0,
