@@ -1,17 +1,17 @@
 """Command-line front-end for the experiments and the V2V simulation.
 
 Exit codes: 0 success, 1 usage error, 2 data/schema error, 3 backend
-exhaustion. A malformed mock fixture, or a fixture key without a scripted
+exhaustion, 130 interrupted (Ctrl-C, the status a shell reports for
+SIGINT). A malformed mock fixture, or a fixture key without a scripted
 entry, counts as a data error (2), not a backend failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
+from functools import partial
 from pathlib import Path
-from threading import TIMEOUT_MAX
 
 from .dataset import load_manifest
 from .errors import FovlinkError
@@ -47,30 +47,31 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_BACKEND = 3
+EXIT_INTERRUPTED = 130
 
 
-def _bounded(convert, rule: str, ok):
-    """argparse type: ``convert`` the text, then reject values that break ``rule``."""
+def _field(owner, name: str) -> dict:
+    """add_argument keywords for the flag that sets ``owner``'s field ``name``: its default, and a type that rejects what ``owner`` does."""
+    default = getattr(owner(), name)
 
     def parse(text: str):
-        value = convert(text)
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        value = type(default)(text)
+        try:
+            owner(**{name: value})
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(f"{e}, got {text}") from None
         return value
 
-    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
-    return parse
+    parse.__name__ = type(default).__name__  # argparse names it in "invalid int value"
+    return {"type": parse, "default": default}
 
 
-_AT_LEAST_ONE = _bounded(int, ">= 1", lambda v: v >= 1)
-# the bounds of QueryParams: a socket timeout longer than TIMEOUT_MAX overflows
-_TEMPERATURE = _bounded(float, "finite and >= 0", lambda v: 0 <= v < math.inf)
-_TIMEOUT = _bounded(float, f"> 0 and <= {TIMEOUT_MAX}", lambda v: 0 < v <= TIMEOUT_MAX)
-_PROMPT_IDS = _bounded(
-    lambda text: tuple(p.strip() for p in text.split(",") if p.strip()),
-    "comma-separated prompt ids, each named once",
-    lambda ids: len(set(ids)) == len(ids),
-)
+def _comma_list(what: str, text: str) -> tuple[str, ...]:
+    """argparse type, given ``what`` with ``partial``: comma-separated ``what``, each named once."""
+    names = tuple(n.strip() for n in text.split(",") if n.strip())
+    if len(set(names)) != len(names):
+        raise argparse.ArgumentTypeError(f"must be comma-separated {what}, each named once, got {text}")
+    return names
 
 
 class _Parser(argparse.ArgumentParser):
@@ -112,7 +113,7 @@ _EXPERIMENTS = {
     ),
     "exp3": (
         "prompt comparison", "--prompts",
-        {"type": _PROMPT_IDS, "default": "P1,P2,P3", "help": "comma-separated prompt ids", "metavar": "PROMPTS"},
+        {"type": partial(_comma_list, "prompt ids"), "default": "P1,P2,P3", "help": "comma-separated prompt ids", "metavar": "PROMPTS"},
         run_prompt_comparison, "comparison", _comparison_summary,
     ),
 }
@@ -123,10 +124,10 @@ def _build_parser() -> _Parser:
     shared.add_argument("--backend", choices=("live", "mock"), default="mock")
     shared.add_argument("--fixture", type=Path, help="mock reply script (JSON)")
     shared.add_argument("--model", default="gpt-4o", help="model name for live mode")
-    shared.add_argument("--max-tokens", type=_AT_LEAST_ONE, default=300)
-    shared.add_argument("--temperature", type=_TEMPERATURE, default=0.0)
-    shared.add_argument("--timeout", type=_TIMEOUT, default=60.0)
-    shared.add_argument("--retries", type=_bounded(int, ">= 0", lambda v: v >= 0), default=2)
+    shared.add_argument("--max-tokens", **_field(QueryParams, "max_tokens"))
+    shared.add_argument("--temperature", **_field(QueryParams, "temperature"))
+    shared.add_argument("--timeout", **_field(QueryParams, "timeout"))
+    shared.add_argument("--retries", **_field(QueryParams, "max_retries"))
     shared.add_argument("--manifest", type=Path, required=True)
     shared.add_argument("--out", type=Path, required=True)
 
@@ -135,17 +136,15 @@ def _build_parser() -> _Parser:
     for name, (help_text, flag, prompt_kwargs, *_) in _EXPERIMENTS.items():
         experiment = sub.add_parser(name, parents=[shared], help=help_text)
         experiment.add_argument(flag, dest="prompt", **prompt_kwargs)
-        experiment.add_argument("--runs", type=_AT_LEAST_ONE, default=3)
-        experiment.add_argument("--parallelism", type=_AT_LEAST_ONE, default=1)
+        experiment.add_argument("--runs", **_field(ExperimentConfig, "runs_per_prompt"))
+        experiment.add_argument("--parallelism", **_field(ExperimentConfig, "parallelism"))
 
-    # --scenario first, so a usage error lists the missing flags in the same order as before
-    scenario = argparse.ArgumentParser(add_help=False)
-    scenario.add_argument("--scenario", type=Path, required=True)
-    sub.add_parser("v2v", parents=[scenario, shared], help="vehicle dialogue simulation")
+    v2v = sub.add_parser("v2v", parents=[shared], help="vehicle dialogue simulation")
+    v2v.add_argument("--scenario", type=Path, required=True)
 
     report = sub.add_parser("report", help="re-render reports from result files")
     report.add_argument("--in", dest="in_dir", type=Path, required=True)
-    report.add_argument("--targets", default=",".join(RENDER_TARGETS))
+    report.add_argument("--targets", type=partial(_comma_list, "render targets"), default=",".join(RENDER_TARGETS))
 
     return parser
 
@@ -192,8 +191,7 @@ def _cmd_v2v(args) -> list[Path]:
 
 
 def _cmd_report(args) -> list[Path]:
-    targets = normalize_targets(t.strip() for t in args.targets.split(",") if t.strip())
-    return rerender(args.in_dir, targets)
+    return rerender(args.in_dir, normalize_targets(args.targets))
 
 
 _COMMANDS = {**dict.fromkeys(_EXPERIMENTS, _cmd_experiment), "v2v": _cmd_v2v, "report": _cmd_report}
@@ -224,6 +222,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as e:
         print(f"fovlink: i/o error: {e}", file=sys.stderr)
         return EXIT_DATA
+    except KeyboardInterrupt:
+        print("fovlink: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

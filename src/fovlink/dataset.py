@@ -30,6 +30,7 @@ _SIZE = Rule("must be an integer that fits a float", lambda v: type(v) is int an
 _BOX = Rule(
     "must be four numbers that fit a float", lambda v: type(v) is list and len(v) == 4 and all(map(fits_float, v))
 )
+_NONBLOCK = getattr(os, "O_NONBLOCK", 0)  # for Frame: opening a FIFO without it waits for a writer; not on Windows
 
 # one manifest line (docs/schemas.md)
 MANIFEST_SHAPE = Fields(
@@ -129,8 +130,9 @@ class Frame:
     """One scene's camera frame: opened once for its size, encoded at most once.
 
     Opening raises what a read would for a missing or unreadable file (the
-    same ``OSError``) and ``EmptyFrame`` for a file with no bytes, without
-    reading it, so a backend that never looks at the pixels costs no read.
+    same ``OSError``), ``ManifestError`` for a FIFO or other special file
+    and ``EmptyFrame`` for a file with no bytes, without reading it, so a
+    backend that never looks at the pixels costs no read.
     Every backend gets the ``Frame``. ``read`` returns the file's bytes and
     keeps nothing; ``base64`` reads the file once, on its first use, and
     keeps only the encoding, so every query about the frame, and every
@@ -140,13 +142,15 @@ class Frame:
     __slots__ = ("path", "size", "_base64")
 
     def __init__(self, scene: SceneRecord) -> None:
-        fd = os.open(scene.image_path, os.O_RDONLY)
+        fd = os.open(scene.image_path, os.O_RDONLY | _NONBLOCK)
         try:
             info = os.fstat(fd)
         finally:
             os.close(fd)
         if stat.S_ISDIR(info.st_mode):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(scene.image_path))
+        if not stat.S_ISREG(info.st_mode):
+            raise ManifestError(f"scene {scene.scene_id!r}: frame {scene.image_path} is not a regular file")
         if info.st_size == 0:
             raise EmptyFrame(f"scene {scene.scene_id!r}: frame {scene.image_path} is empty")
         self.path = scene.image_path

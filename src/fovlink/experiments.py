@@ -34,7 +34,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, combinations
+from itertools import combinations
 
 from . import stats as stats_mod
 from .dataset import Frame, SceneRecord, SceneSet
@@ -240,39 +240,38 @@ def _dispatch(
 
     Each task opens its scene's frame once; the live backend reads and
     encodes it once, at its first query. Workers take whole tasks in turn
-    from one iterator and write each task's results at its scene's index.
-    A simulated backend answers at once, so its one worker is the calling
-    thread; a backend that waits on the network gets ``parallelism``
-    workers, at most one per scene: the calling thread and plain threads,
-    no pool. A worker whose query backs off takes up the next whole tasks
-    through the gateway view from ``Gateway.lending`` until the backoff's
-    deadline passes, then sleeps out what is left of it, so at most
-    ``parallelism`` requests are in flight and no worker idles through a
-    backoff while tasks remain. An exception on any worker, a
-    KeyboardInterrupt on the calling thread among them, stops every worker
-    from taking another task and is raised once all are done. Every task
-    parses through one memo that lasts for this dispatch only.
+    from one iterator. A simulated backend answers at once, so its one
+    worker is the calling thread; a backend that waits on the network gets
+    ``parallelism`` workers, at most one per scene: the calling thread and
+    plain threads, no pool. A worker whose query backs off takes up the
+    next whole tasks through the gateway view from ``Gateway.lending``
+    until the backoff's deadline passes, then sleeps out what is left of
+    it, so at most ``parallelism`` requests are in flight and no worker
+    idles through a backoff while tasks remain. An exception on any
+    worker, a KeyboardInterrupt on the calling thread among them, stops
+    every worker from taking another task and is raised once all are
+    done. Every task parses through one memo that lasts for this dispatch
+    only.
     """
     if not scenes:
         raise ExperimentPrecondition("experiment invoked with zero scenes")
     parsed: dict[tuple[ExpectedFormat, str], ParsedDetection] = {}
-    per_scene: list[list[RunResult]] = [[] for _ in scenes]
-    tasks = enumerate(scenes)
+    by_prompt: dict[str, list[RunResult]] = {prompt.prompt_id: [] for prompt in prompts}
+    tasks = iter(scenes)
     taking = threading.Lock()
     failures: list[BaseException] = []
 
-    def next_task() -> tuple[int, SceneRecord] | None:
+    def next_task() -> SceneRecord | None:
         with taking:
             return None if failures else next(tasks, None)
 
-    def run(task: tuple[int, SceneRecord], view: Gateway) -> None:
-        index, scene = task
+    def run(scene: SceneRecord, view: Gateway) -> None:
         frame = Frame(scene)
-        per_scene[index] = [
-            query_detection(frame, scene.scene_id, prompt, run_idx, view, config.params, parsed)
-            for prompt in prompts
-            for run_idx in range(config.runs_per_prompt)
-        ]
+        for prompt in prompts:
+            by_prompt[prompt.prompt_id].extend([
+                query_detection(frame, scene.scene_id, prompt, run_idx, view, config.params, parsed)
+                for run_idx in range(config.runs_per_prompt)
+            ])
 
     def work() -> None:
         try:
@@ -293,9 +292,6 @@ def _dispatch(
         # holds the frames that hold the list, so no reference cycle is left
         del failures[1:]
         raise failures.pop()
-    by_prompt: dict[str, list[RunResult]] = {prompt.prompt_id: [] for prompt in prompts}
-    for result in chain.from_iterable(per_scene):
-        by_prompt[result.prompt_id].append(result)
     for results in by_prompt.values():
         if all(r.fault is not None for r in results):
             raise AllScenesFailed(f"all {len(scenes)} scenes failed at the gateway")

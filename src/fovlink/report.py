@@ -519,14 +519,12 @@ def _read_lines(path: Path, decode: Callable[[str], object]) -> list:
     return decoded
 
 
-def _decode_record(line: str, shared: dict[str, str] | None = None) -> _Row:
+def _decode_record(line: str, shared: dict[str, str]) -> _Row:
     """One records line as its row, its scene and prompt ids replaced by the equal ``str`` in ``shared`` or entered there."""
     try:
         record = load_json(line)
     except json.JSONDecodeError as e:
         raise ReportError(f"invalid JSON ({e.msg})") from e
-    if shared is None:
-        shared = {}
     if type(record) is dict:
         for name in _SHARED_IDS:
             value = record.get(name)

@@ -17,9 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fovlink
-from fovlink.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from fovlink.cli import EXIT_BACKEND, EXIT_DATA, EXIT_INTERRUPTED, EXIT_OK, EXIT_USAGE, _build_parser, main
 from fovlink.dataset import Frame, load_manifest
-from fovlink.gateway import QueryParams
+from fovlink.experiments import ExperimentConfig
+from fovlink.gateway import MockBackend, QueryParams
 
 from conftest import (
     LoopbackServer,
@@ -207,6 +208,94 @@ class TestQueryParamBounds:
         assert exc.value.code == EXIT_USAGE
         assert capsys.readouterr().err.splitlines()[-1] == "fovlink: error: unrecognized arguments: --parallelism 2"
         assert not (tmp_path / "out").exists()
+
+
+# each number flag, the dataclass and field it sets, and a value that field rejects
+_FIELD_FLAGS = [
+    ("--max-tokens", QueryParams, "max_tokens", "0"),
+    ("--temperature", QueryParams, "temperature", "-1"),
+    ("--timeout", QueryParams, "timeout", "0"),
+    ("--retries", QueryParams, "max_retries", "-1"),
+    ("--runs", ExperimentConfig, "runs_per_prompt", "0"),
+    ("--parallelism", ExperimentConfig, "parallelism", "0"),
+]
+
+
+class TestFieldFlags:
+    """Each number flag takes its default and its bound from the dataclass field it sets."""
+
+    @pytest.mark.parametrize("flag, owner, name, text", _FIELD_FLAGS)
+    def test_an_out_of_range_value_is_a_usage_error_in_the_fields_words(
+        self, workspace, capsys, flag, owner, name, text
+    ):
+        with pytest.raises(ValueError) as rejected:
+            owner(**{name: type(getattr(owner(), name))(text)})
+        tmp_path, manifest, scenes = workspace
+        fixture = write_fixture(tmp_path, binary_script(scenes))
+        with pytest.raises(SystemExit) as exc:
+            run_cli("exp1", "--manifest", manifest, "--fixture", fixture, flag, text, "--out", tmp_path / "out")
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err == f"fovlink exp1: error: argument {flag}: {rejected.value}, got {text}"
+        assert not (tmp_path / "out").exists()
+
+    def test_each_flag_defaults_to_its_fields_default(self):
+        args = _build_parser().parse_args(["exp1", "--manifest", "scenes.jsonl", "--out", "out"])
+        for flag, owner, name, _ in _FIELD_FLAGS:
+            default = getattr(args, flag[2:].replace("-", "_"))
+            assert default == getattr(owner(), name) and type(default) is type(getattr(owner(), name)), flag
+
+    def test_a_target_named_twice_is_usage_error(self, workspace, capsys):
+        tmp_path, _, _ = workspace
+        with pytest.raises(SystemExit) as exc:
+            run_cli("report", "--in", tmp_path, "--targets", "csv,svg,csv")
+        assert exc.value.code == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "fovlink report: error: argument --targets: must be comma-separated render targets, "
+            "each named once, got csv,svg,csv"
+        )
+
+
+def test_ctrl_c_ends_a_run_with_one_line_and_exit_130(workspace, monkeypatch, capsys):
+    # a KeyboardInterrupt used to end the run with a traceback
+    tmp_path, manifest, scenes = workspace
+    fixture = write_fixture(tmp_path, binary_script(scenes, runs=3))
+    complete, calls = MockBackend.complete, []
+
+    def interrupted_on_the_third_call(self, *args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return complete(self, *args)
+
+    monkeypatch.setattr(MockBackend, "complete", interrupted_on_the_third_call)
+    try:
+        code = run_cli("exp1", "--manifest", manifest, "--fixture", fixture, "--out", tmp_path / "out")
+    except KeyboardInterrupt:
+        pytest.fail("a KeyboardInterrupt escaped main")
+    assert code == EXIT_INTERRUPTED == 130
+    assert capsys.readouterr().err == "fovlink: interrupted\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+def test_a_fifo_as_a_frame_is_data_error_not_a_hang(workspace):
+    # opening a FIFO used to block until a writer came, so even a mock run never ended
+    tmp_path, manifest, scenes = workspace
+    fixture = write_fixture(tmp_path, binary_script(scenes))
+    frame = scenes.by_id["neg_a"].image_path
+    frame.unlink()
+    os.mkfifo(frame)
+    src = str(Path(fovlink.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "fovlink", "exp1", "--manifest", str(manifest), "--fixture", str(fixture),
+         "--runs", "1", "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=20,
+    )
+    assert done.returncode == EXIT_DATA
+    assert done.stderr == f"fovlink: scene 'neg_a': frame {frame} is not a regular file\n"
+    assert not (tmp_path / "out").exists()
 
 
 class TestFixtureAndBackendExitCodes:

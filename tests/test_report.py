@@ -1116,7 +1116,9 @@ def test_a_records_line_decodes_without_a_shared_id_table():
     detection = ParsedDetection(kind=DetectionKind.VERDICT, verdict=True, raw_excerpt="yes")
     result = RunResult("scene_00001", "BIN", 0, detection, 0.25, "yes")
     line = COMPACT_JSON.encode(result_to_record(result, None, True, False))
-    assert _decode_record(line) == (result, None, True, False)
+    shared = {}
+    assert _decode_record(line, shared) == (result, None, True, False)
+    assert shared == {"scene_00001": "scene_00001", "BIN": "BIN"}
 
 
 def _binary_records_bundle(n: int) -> ReportBundle:
@@ -1188,7 +1190,7 @@ def test_a_malformed_line_blocks_before_a_byte_that_is_not_utf8_is_reported_firs
     head = "not json\n" + "".join(f'{{"scene_id":"scene_{i:04d}"}}\n' for i in range(5_000))
     path.write_bytes(head.encode() + b'{"scene_id":"\xff"}\n')
     with pytest.raises(ReportError, match=r"^binary_results\.jsonl line 1: invalid JSON"):
-        _read_lines(path, _decode_record)
+        _read_lines(path, lambda line: _decode_record(line, {}))
 
 
 def test_a_rerender_keeps_one_str_per_distinct_scene_id_and_prompt_id(record_dirs, tmp_path, monkeypatch):
