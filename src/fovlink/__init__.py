@@ -34,42 +34,6 @@ from .v2v import LinkModel, V2VMessage, decode_message, encode_message, run_dial
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "FovlinkError",
-    "PixelBBox",
-    "SceneRecord",
-    "SceneSet",
-    "load_manifest",
-    "apply_curation_filter",
-    "NormalizedBBox",
-    "normalize_bbox",
-    "canonicalize_bbox",
-    "overlap_recall",
-    "iou",
-    "overlaps",
-    "ConfusionMatrix",
-    "DetectionStats",
-    "LocalizationSummary",
-    "build_confusion_matrix",
-    "derive_detection_stats",
-    "summarize_localization",
-    "Gateway",
-    "MockBackend",
-    "LiveBackend",
-    "QueryParams",
-    "RawResponse",
-    "PROMPTS",
-    "PromptSpec",
-    "get_prompt",
-    "FailureKind",
-    "ParsedDetection",
-    "parse_binary_response",
-    "parse_bbox_response",
-    "classify_failure",
-    "LinkModel",
-    "V2VMessage",
-    "encode_message",
-    "decode_message",
-    "transmission_time",
-    "run_dialogue",
-]
+# each export is declared once, by its import above: every public name but the
+# submodules those imports bind, each named "fovlink.<name>"
+__all__ = [name for name, value in globals().items() if not name.startswith("_") and getattr(value, "__name__", None) != f"{__name__}.{name}"]

@@ -18,6 +18,7 @@ from .errors import FovlinkError
 from .experiments import (
     AllScenesFailed,
     ExperimentConfig,
+    check_prompts,
     lowlight_by_scene,
     run_binary_experiment,
     run_localization_experiment,
@@ -32,7 +33,7 @@ from .gateway import (
     QueryParams,
     UnscriptedKey,
 )
-from .prompts import UnknownPromptId
+from .prompts import ExpectedFormat, UnknownPromptId
 from .report import (
     RENDER_TARGETS,
     ReportBundle,
@@ -69,6 +70,8 @@ def _field(owner, name: str) -> dict:
 def _comma_list(what: str, text: str) -> tuple[str, ...]:
     """argparse type, given ``what`` with ``partial``: comma-separated ``what``, each named once."""
     names = tuple(n.strip() for n in text.split(",") if n.strip())
+    if not names:
+        raise argparse.ArgumentTypeError(f"must name at least one of the {what}, got none")
     if len(set(names)) != len(names):
         raise argparse.ArgumentTypeError(f"must be comma-separated {what}, each named once, got {text}")
     return names
@@ -100,21 +103,22 @@ def _comparison_summary(prompts, outcome) -> str:
     return "\n".join(f"exp3 {pid}: union rate {s.union_rate * 100:.2f}%" for pid, s in outcome.summary_table())
 
 
-# subcommand -> (help, prompt flag, its add_argument keywords, runner,
-# ReportBundle part, stdout summary); the flag is stored as args.prompt
+# subcommand -> (help, prompt flag, its add_argument keywords, the format of
+# its prompts, runner, ReportBundle part, stdout summary); the flag is stored
+# as args.prompt
 _EXPERIMENTS = {
     "exp1": (
         "binary pedestrian detection", "--prompt", {"default": "BIN", "help": "BIN or BIN_REFINED"},
-        run_binary_experiment, "binary", _binary_summary,
+        ExpectedFormat.YES_NO, run_binary_experiment, "binary", _binary_summary,
     ),
     "exp2": (
         "bounding-box localization", "--prompt", {"default": "P1"},
-        run_localization_experiment, "localization", _localization_summary,
+        ExpectedFormat.COORDINATE_TEMPLATE, run_localization_experiment, "localization", _localization_summary,
     ),
     "exp3": (
         "prompt comparison", "--prompts",
         {"type": partial(_comma_list, "prompt ids"), "default": "P1,P2,P3", "help": "comma-separated prompt ids", "metavar": "PROMPTS"},
-        run_prompt_comparison, "comparison", _comparison_summary,
+        ExpectedFormat.COORDINATE_TEMPLATE, run_prompt_comparison, "comparison", _comparison_summary,
     ),
 }
 
@@ -166,7 +170,9 @@ def _query_params(args) -> QueryParams:
 
 
 def _cmd_experiment(args) -> list[Path]:
-    *_, run, part, summary = _EXPERIMENTS[args.command]
+    *_, expected_format, run, part, summary = _EXPERIMENTS[args.command]
+    # every prompt id is checked before any input file is read
+    check_prompts(args.prompt if isinstance(args.prompt, tuple) else (args.prompt,), expected_format)
     scenes = load_manifest(args.manifest)
     config = ExperimentConfig(runs_per_prompt=args.runs, parallelism=args.parallelism, params=_query_params(args))
     outcome = run(scenes, args.prompt, _make_gateway(args), config)

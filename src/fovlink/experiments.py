@@ -42,7 +42,7 @@ from .errors import FovlinkError
 from .gateway import Gateway, GatewayError, QueryParams, UnscriptedKey
 from .geometry import NormalizedBBox, iou, normalize_bbox, overlap_recall, overlaps
 from .parsing import DetectionKind, FailureKind, ParsedDetection, detect_bbox, detect_binary
-from .prompts import ExpectedFormat, PromptSpec, get_prompt
+from .prompts import ExpectedFormat, PromptSpec, UnknownPromptId, get_prompt
 
 LOWLIGHT_TAGS = frozenset({"dusk", "sunset", "shade", "solar_glare"})
 
@@ -51,6 +51,10 @@ CONSISTENCY_IOU_THRESHOLD = 0.5
 
 class ExperimentPrecondition(FovlinkError):
     """An experiment was invoked with arguments violating its contract."""
+
+
+class WrongPromptKind(UnknownPromptId, ExperimentPrecondition):
+    """A registered prompt of a kind the experiment does not take: a usage error, as an unknown id is."""
 
 
 class AllScenesFailed(FovlinkError):
@@ -192,22 +196,19 @@ def query_detection(
         # a hole in the fixture is a harness bug, not a backend fault
         raise
     except GatewayError as e:
-        return RunResult(
-            scene_id=scene_id,
-            prompt_id=prompt.prompt_id,
-            run_idx=run_idx,
-            detection=None,
-            latency=0.0,
-            raw_text="",
-            fault=f"{type(e).__name__}: {e}",
-        )
+        detection, latency, raw_text = None, 0.0, ""
+        fault = f"{type(e).__name__}: {e}"
+    else:
+        detection = _detect(prompt.expected_format, response.text, parsed)
+        latency, raw_text, fault = response.latency, response.text, None
     return RunResult(
         scene_id=scene_id,
         prompt_id=prompt.prompt_id,
         run_idx=run_idx,
-        detection=_detect(prompt.expected_format, response.text, parsed),
-        latency=response.latency,
-        raw_text=response.text,
+        detection=detection,
+        latency=latency,
+        raw_text=raw_text,
+        fault=fault,
     )
 
 
@@ -310,6 +311,24 @@ def _matrix_for_run(
     return stats_mod.build_confusion_matrix(predictions, labels)
 
 
+# the kind of prompt each format is, as an error names it
+_PROMPT_KINDS = {ExpectedFormat.YES_NO: "yes/no", ExpectedFormat.COORDINATE_TEMPLATE: "coordinate"}
+
+
+def check_prompts(prompt_ids: tuple[str, ...], expected_format: ExpectedFormat) -> tuple[PromptSpec, ...]:
+    """The prompts ``prompt_ids`` names, each once, every one of ``expected_format``.
+
+    An unknown id raises ``UnknownPromptId``, and a prompt of another
+    format ``WrongPromptKind``, which is both that and an
+    ``ExperimentPrecondition``.
+    """
+    prompts = tuple(get_prompt(prompt_id) for prompt_id in dict.fromkeys(prompt_ids))
+    for prompt in prompts:
+        if prompt.expected_format is not expected_format:
+            raise WrongPromptKind(f"prompt {prompt.prompt_id} is not a {_PROMPT_KINDS[expected_format]} prompt")
+    return prompts
+
+
 def run_binary_experiment(
     scenes: SceneSet, prompt_id: str, gateway: Gateway, config: ExperimentConfig
 ) -> BinaryExperimentResult:
@@ -322,9 +341,7 @@ def run_binary_experiment(
     images across runs. Faulted scenes drop out of the join, leaving a
     visible column-sum shortfall.
     """
-    prompt = get_prompt(prompt_id)
-    if prompt.expected_format is not ExpectedFormat.YES_NO:
-        raise ExperimentPrecondition(f"prompt {prompt_id} is not a yes/no prompt")
+    (prompt,) = check_prompts((prompt_id,), ExpectedFormat.YES_NO)
     results = _dispatch(list(scenes), (prompt,), gateway, config)[prompt_id]
     for run_idx in range(config.runs_per_prompt):
         if all(r.fault is not None for r in results if r.run_idx == run_idx):
@@ -352,23 +369,19 @@ def binary_result(
 def _score_detection(
     detection: ParsedDetection, gt: NormalizedBBox, scene_id: str, run_idx: int
 ) -> LocalizationSample:
-    if detection.kind is DetectionKind.FAILURE:
-        return LocalizationSample(
-            scene_id=scene_id,
-            run_idx=run_idx,
-            overlap=False,
-            recall=0.0,
-            iou=0.0,
-            failure_kind=detection.failure_kind,
-        )
     box = detection.box
-    assert box is not None
+    if detection.kind is DetectionKind.FAILURE:
+        overlap, recall, box_iou = False, 0.0, 0.0
+    else:
+        assert box is not None
+        overlap, recall, box_iou = overlaps(gt, box), overlap_recall(gt, box), iou(gt, box)
     return LocalizationSample(
         scene_id=scene_id,
         run_idx=run_idx,
-        overlap=overlaps(gt, box),
-        recall=overlap_recall(gt, box),
-        iou=iou(gt, box),
+        overlap=overlap,
+        recall=recall,
+        iou=box_iou,
+        failure_kind=detection.failure_kind,
     )
 
 
@@ -388,10 +401,7 @@ def _localize(
     scenes: SceneSet, prompt_ids: tuple[str, ...], gateway: Gateway, config: ExperimentConfig
 ) -> dict[str, LocalizationExperimentResult]:
     """Validate every prompt, query all of them in one dispatch, score each."""
-    prompts = tuple(get_prompt(prompt_id) for prompt_id in dict.fromkeys(prompt_ids))
-    for prompt in prompts:
-        if prompt.expected_format is not ExpectedFormat.COORDINATE_TEMPLATE:
-            raise ExperimentPrecondition(f"prompt {prompt.prompt_id} is not a coordinate prompt")
+    prompts = check_prompts(prompt_ids, ExpectedFormat.COORDINATE_TEMPLATE)
     multi = [r.scene_id for r in scenes.positives if len(r.gt_boxes) != 1]
     if multi:
         raise ExperimentPrecondition(

@@ -29,10 +29,12 @@ starts, and splices it into the JSON of a request built with an empty
 image: every prompt, run and retry about a frame reuses one encoding, and
 the body is byte for byte ``json.dumps(build_chat_request(...))``.
 
-The HTTP stack (``http.client``, ``urllib``, and the ``email`` and ``ssl``
-modules they pull in) is imported by the first live request, not at
-import or when a ``LiveBackend`` is built: a mock run, a re-render and
-the set-up of a live run never load it.
+The HTTP stack (``http.client``, ``urllib.request``, ``urllib.error``,
+and the ``email`` and ``ssl`` modules they pull in) is imported by the
+first live request, not at import or when a ``LiveBackend`` is built: a
+mock run, a re-render and the set-up of a live run never load it. A
+``LiveBackend`` checks its base URL when it is built, with
+``urllib.parse``, which ``pathlib`` has already loaded.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from threading import TIMEOUT_MAX
+from urllib.parse import urlsplit
 
 from .dataset import Frame
 from .errors import FovlinkError
@@ -275,6 +278,13 @@ class LiveBackend:
         base = base_url or os.environ.get("FOVLINK_BASE_URL")
         if not base:
             raise TransportError("no base URL: set FOVLINK_BASE_URL or pass base_url")
+        try:
+            url = urlsplit(base)
+            url.port  # raises ValueError for a port that does not parse
+        except ValueError as e:
+            raise TransportError(f"malformed base URL {base!r}: {e}") from None
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise TransportError(f"base URL {base!r} needs an http or https scheme and a host")
         self.base_url = base.rstrip("/")
         self.api_key = api_key or os.environ.get("FOVLINK_API_KEY", "")
         self.backend_id = f"live:{self.base_url}"

@@ -29,7 +29,6 @@ _TRUNCATED_PAIR_RE = re.compile(rf"\(\s*{_NUMBER}(?:\s*,\s*(?:{_NUMBER})?)?")
 # against the whole reply.
 NEGATION_PATTERNS = (
     "no pedestrian",
-    "no pedestrians",
     "no person",
     "no people",
     "no human",

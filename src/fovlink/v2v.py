@@ -31,7 +31,7 @@ from .geometry import NonFiniteInput, NormalizedBBox
 from .parsing import DetectionKind, FailureKind, ParsedDetection
 # bench/spans.py traces the parsers under these names
 from .parsing import detect_bbox, detect_binary  # noqa: F401
-from .prompts import ExpectedFormat, get_prompt
+from .prompts import PROMPTS, ExpectedFormat, get_prompt
 from .shape import COMPACT_JSON, FLOAT, NON_EMPTY_TEXT, NON_NEGATIVE_INT, NULL, NUMBER, TEXT, Fields, ListOf, Nullable, describe, load_json, problems
 
 PROTOCOL_VERSION = "1"
@@ -275,6 +275,15 @@ def _response_payload(detection: ParsedDetection) -> ResponsePayload:
     )
 
 
+def _check_distinct(vehicles) -> None:
+    """Raise ValueError naming the first vehicle id that ``vehicles`` holds twice."""
+    seen: set[str] = set()
+    for vehicle in vehicles:
+        if vehicle.vehicle_id in seen:
+            raise ValueError(f"vehicle id {vehicle.vehicle_id!r} is named twice")
+        seen.add(vehicle.vehicle_id)
+
+
 def run_dialogue(
     ego: VehicleAgent,
     remotes: list[VehicleAgent] | tuple[VehicleAgent, ...],
@@ -286,8 +295,9 @@ def run_dialogue(
 ) -> DialogueTranscript:
     """One query/response round between the ego and each remote vehicle.
 
-    Remotes are served in vehicle_id order; each response (or error, for
-    a faulted remote) immediately follows its query in the transcript.
+    Every vehicle id must be distinct (ValueError otherwise). Remotes
+    are served in vehicle_id order; each response (or error, for a
+    faulted remote) immediately follows its query in the transcript.
     Message timestamps come from a simulated clock that advances by the
     analytic transmission delay of each message plus the model latency,
     so transcripts are deterministic. The stream comparison counts the
@@ -295,6 +305,10 @@ def run_dialogue(
     """
     if ego.role is not Role.EGO:
         raise ValueError(f"vehicle {ego.vehicle_id!r} is not the ego")
+    for remote in remotes:
+        if remote.role is not Role.REMOTE:
+            raise ValueError(f"vehicle {remote.vehicle_id!r} is not a remote")
+    _check_distinct((ego, *remotes))
     prompt = get_prompt(prompt_id)
 
     messages: list[V2VMessage] = []
@@ -312,8 +326,6 @@ def run_dialogue(
         clock += transmission_time(size, link)
 
     for index, remote in enumerate(sorted(remotes, key=lambda r: r.vehicle_id)):
-        if remote.role is not Role.REMOTE:
-            raise ValueError(f"vehicle {remote.vehicle_id!r} is not a remote")
         scene = scenes.by_id.get(remote.current_frame or "")
         if scene is None:
             raise ScenarioError(
@@ -356,7 +368,7 @@ _SCENARIO_SHAPE = Fields(
 
 
 def load_scenario(path: str | Path) -> tuple[VehicleAgent, tuple[VehicleAgent, ...], LinkModel, str]:
-    """Read a scenario config of ``_SCENARIO_SHAPE`` with exactly one ego vehicle."""
+    """Read a scenario config of ``_SCENARIO_SHAPE`` with exactly one ego vehicle and distinct vehicle ids."""
     try:
         raw = load_json(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as e:
@@ -368,6 +380,10 @@ def load_scenario(path: str | Path) -> tuple[VehicleAgent, tuple[VehicleAgent, .
     found = problems(raw, _SCENARIO_SHAPE)
     if found:
         raise ScenarioError(f"scenario: {describe(*found[0])}")
+    # after the shape, which names a prompt_id UTF-8 cannot encode as such
+    prompt_id = raw["prompt_id"]
+    if prompt_id not in PROMPTS:
+        raise ScenarioError(f"scenario: field 'prompt_id' is an unknown prompt_id {prompt_id!r}")
 
     try:
         vehicles = [
@@ -376,6 +392,7 @@ def load_scenario(path: str | Path) -> tuple[VehicleAgent, tuple[VehicleAgent, .
             )
             for entry in raw["vehicles"]
         ]
+        _check_distinct(vehicles)
         link = LinkModel(
             rate=float(raw["link"]["rate_bps"]), overhead=float(raw["link"].get("overhead", 0.0))
         )
@@ -385,4 +402,4 @@ def load_scenario(path: str | Path) -> tuple[VehicleAgent, tuple[VehicleAgent, .
     if len(egos) != 1:
         raise ScenarioError(f"scenario needs exactly one ego vehicle, found {len(egos)}")
     remotes = tuple(v for v in vehicles if v.role is Role.REMOTE)
-    return egos[0], remotes, link, raw["prompt_id"]
+    return egos[0], remotes, link, prompt_id

@@ -256,6 +256,60 @@ class TestFieldFlags:
         )
 
 
+@pytest.mark.parametrize(
+    "argv, flag, what",
+    [
+        (["report", "--in", "out", "--targets"], "--targets", "render targets"),
+        (["exp3", "--manifest", "ghost.jsonl", "--fixture", "ghost.json", "--out", "out", "--prompts"], "--prompts", "prompt ids"),
+    ],
+    ids=["targets", "prompts"],
+)
+@pytest.mark.parametrize("text", ["", " , "], ids=["empty", "commas"])
+def test_an_empty_list_is_usage_error(capsys, argv, flag, what, text):
+    # report used to write nothing and exit 0; exp3 exited 2
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, text)
+    assert exc.value.code == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        f"error: argument {flag}: must name at least one of the {what}, got none"
+    )
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, message",
+    [
+        ("exp1", "--prompt", "P1", "prompt P1 is not a yes/no prompt"),
+        ("exp1", "--prompt", "P9", "unknown prompt_id 'P9'"),
+        ("exp2", "--prompt", "BIN", "prompt BIN is not a coordinate prompt"),
+        ("exp3", "--prompts", "P1,BIN", "prompt BIN is not a coordinate prompt"),
+        ("exp3", "--prompts", "P1,P9", "unknown prompt_id 'P9'"),
+    ],
+    ids=["exp1-P1", "exp1-P9", "exp2-BIN", "exp3-BIN", "exp3-P9"],
+)
+def test_a_prompt_the_command_cannot_take_is_usage_error_before_any_input_is_read(
+    tmp_path, capsys, command, flag, value, message
+):
+    # a prompt of the wrong kind used to exit 2, and every such id was
+    # checked only after the manifest and fixture were read
+    code = run_cli(
+        command, "--manifest", tmp_path / "ghost.jsonl", "--fixture", tmp_path / "ghost.json", flag, value,
+        "--out", tmp_path / "out",
+    )
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"fovlink: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_malformed_base_url_is_backend_error_before_any_request(workspace, monkeypatch, capsys):
+    # it used to end in a ValueError traceback
+    tmp_path, manifest, _ = workspace
+    monkeypatch.setenv("FOVLINK_BASE_URL", "http://[::1")
+    code = run_cli("exp1", "--backend", "live", "--manifest", manifest, "--runs", 1, "--out", tmp_path / "out")
+    assert code == EXIT_BACKEND
+    assert capsys.readouterr().err == "fovlink: backend failure: malformed base URL 'http://[::1': Invalid IPv6 URL\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_ctrl_c_ends_a_run_with_one_line_and_exit_130(workspace, monkeypatch, capsys):
     # a KeyboardInterrupt used to end the run with a traceback
     tmp_path, manifest, scenes = workspace
@@ -546,6 +600,30 @@ class TestV2V:
         )
         assert code == EXIT_DATA
 
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda s: s["vehicles"][2].update(vehicle_id="vehicle_a"), "vehicle id 'vehicle_a' is named twice"),
+            (lambda s: s["vehicles"][1].update(vehicle_id="ego"), "vehicle id 'ego' is named twice"),
+            (lambda s: s.update(prompt_id="P9"), "scenario: field 'prompt_id' is an unknown prompt_id 'P9'"),
+        ],
+        ids=["two_remotes", "remote_named_ego", "prompt_id"],
+    )
+    def test_a_repeated_vehicle_id_or_unregistered_prompt_is_data_error(self, workspace, capsys, edit, message):
+        # the repeated ids used to run, and an unregistered prompt_id exited 1
+        tmp_path, manifest, scenes = workspace
+        scenario = _v2v_scenario(tmp_path)
+        raw = json.loads(scenario.read_text(encoding="utf-8"))
+        edit(raw)
+        scenario.write_text(json.dumps(raw), encoding="utf-8")
+        fixture = write_fixture(tmp_path, localization_script(scenes, GT_TEMPLATE))
+        code = run_cli(
+            "v2v", "--scenario", scenario, "--manifest", manifest, "--fixture", fixture, "--out", tmp_path / "out"
+        )
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"fovlink: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("rate", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
     def test_non_finite_link_rate_is_data_error(self, workspace, capsys, rate):

@@ -5,6 +5,7 @@ import errno
 import hashlib
 import json
 import math
+import re
 import socket
 import time
 import tracemalloc
@@ -241,6 +242,22 @@ class TestLiveBackend:
     def test_requires_base_url(self, monkeypatch):
         monkeypatch.delenv("FOVLINK_BASE_URL", raising=False)
         with pytest.raises(TransportError):
+            LiveBackend()
+
+    @pytest.mark.parametrize(
+        "url, reason",
+        [
+            ("http://[::1", "malformed base URL 'http://[::1': Invalid IPv6 URL"),
+            ("127.0.0.1:9", "needs an http or https scheme and a host"),
+            ("ftp://example.invalid", "needs an http or https scheme and a host"),
+            ("http://127.0.0.1:notaport", "Port could not be cast to integer value"),
+        ],
+        ids=["ipv6", "no_scheme", "ftp", "port"],
+    )
+    def test_a_malformed_base_url_is_refused_when_the_backend_is_built(self, monkeypatch, url, reason):
+        # each used to be tried for every scene, or to end in a ValueError traceback
+        monkeypatch.setenv("FOVLINK_BASE_URL", url)
+        with pytest.raises(TransportError, match=re.escape(reason)):
             LiveBackend()
 
     def test_posts_chat_completion_and_reads_reply(self, monkeypatch):

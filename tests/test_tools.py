@@ -24,7 +24,7 @@ def test_a_tree_matches_itself(tmp_path):
     done = run_matrix(SRC, SRC, tmp_path / "work")
     assert done.returncode == 0, done.stdout + done.stderr
     lines = done.stdout.splitlines()
-    assert lines[-1] == "60 cases over 12 scenes (seed 5), 0 differ"
+    assert lines[-1] == "65 cases over 12 scenes (seed 5), 0 differ"
     # the twelve exp1/exp2/exp3 runs, v2v, the four live runs and their re-renders all succeed and write files
     succeeded = [line for line in lines if line.startswith("ok   exit 0 files") and " 0  fovlink" not in line]
     assert len(succeeded) == 2 * (12 + 2 + 4)
@@ -47,7 +47,7 @@ def test_changed_output_differs_and_option_order_does_not(tmp_path):
     # the four mock exp2 runs and the two live ones
     assert len(differing) == 6 and all("fovlink exp2 " in line for line in differing)
     assert any(line.startswith("ok   exit 0 files  0  fovlink exp1 --help") for line in lines)
-    assert lines[-1] == "60 cases over 12 scenes (seed 5), 6 differ"
+    assert lines[-1] == "65 cases over 12 scenes (seed 5), 6 differ"
 
 
 def test_a_changed_request_body_differs_in_the_live_runs_only(tmp_path):
@@ -64,5 +64,5 @@ def test_a_changed_request_body_differs_in_the_live_runs_only(tmp_path):
     lines = done.stdout.splitlines()
     differing = [line for line in lines if line.startswith("DIFF")]
     assert len(differing) == 4 and all(" --backend live " in line for line in differing)
-    assert lines[-1] == "60 cases over 12 scenes (seed 5), 4 differ"
+    assert lines[-1] == "65 cases over 12 scenes (seed 5), 4 differ"
     assert sum("request bodies differ" in line for line in lines) == 4

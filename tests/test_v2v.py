@@ -462,6 +462,14 @@ class TestRunDialogue:
         with pytest.raises(ValueError, match="vehicle 'ego' is not a remote"):
             run_dialogue(ego, [*remotes, ego], scenes, "P1", Gateway(MockBackend(script)), VANET_LINK, PARAMS)
 
+    @pytest.mark.parametrize("twin", ["vehicle_a", "ego"])
+    def test_a_vehicle_id_named_twice_rejected(self, dialogue_setup, twin):
+        # both used to run: two responses from one remote, or a query from the ego to itself
+        scenes, ego, remotes, script = dialogue_setup
+        twice = [*remotes, VehicleAgent(twin, Role.REMOTE, current_frame="pos_b")]
+        with pytest.raises(ValueError, match=f"vehicle id '{twin}' is named twice"):
+            run_dialogue(ego, twice, scenes, "P1", Gateway(MockBackend(script)), VANET_LINK, PARAMS)
+
     def test_only_a_backend_that_is_not_simulated_reads_the_frames(self, dialogue_setup, frame_reads):
         scenes, ego, remotes, script = dialogue_setup
         frame_sizes = sum(scenes.by_id[r.current_frame].image_path.stat().st_size for r in remotes)
@@ -598,6 +606,28 @@ class TestScenarioFile:
                 ],
                 "link": {"rate_bps": 1},
                 "prompt_id": "P1",
+            },
+            {
+                "vehicles": [
+                    {"vehicle_id": "ego", "role": "ego"},
+                    {"vehicle_id": "r", "role": "remote", "scene_id": "pos_a"},
+                    {"vehicle_id": "r", "role": "remote", "scene_id": "pos_b"},
+                ],
+                "link": {"rate_bps": 1},
+                "prompt_id": "P1",
+            },
+            {
+                "vehicles": [
+                    {"vehicle_id": "ego", "role": "ego"},
+                    {"vehicle_id": "ego", "role": "remote", "scene_id": "pos_a"},
+                ],
+                "link": {"rate_bps": 1},
+                "prompt_id": "P1",
+            },
+            {
+                "vehicles": [{"vehicle_id": "a", "role": "ego"}],
+                "link": {"rate_bps": 1},
+                "prompt_id": "P9",
             },
         ],
     )

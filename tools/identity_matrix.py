@@ -13,7 +13,8 @@ its own working directory:
 - exp1 ``--prompt BIN_REFINED`` (a fixture hole, exit 2), exp3
   ``--prompts P1,P3 --parallelism 4`` and exp3 ``--prompts P1,P1`` (exit 1);
 - v2v over two remotes whose P1 reply is scripted and one whose reply the
-  tool scripts as a timeout;
+  tool scripts as a timeout, and v2v over two broken copies of that
+  scenario (a vehicle id named twice, an unregistered prompt id; exit 2);
 - exp1 and exp2 with ``--backend live`` at ``--parallelism`` 1 and 2,
   against an OpenAI-compatible HTTP server that each side serves on
   127.0.0.1 in its own process. It answers a request with the fixture's
@@ -23,7 +24,9 @@ its own working directory:
   backoff, on the two workers at ``--parallelism`` 2, and is then
   recorded as a fault;
 - ``fovlink report --targets csv,records,svg`` on every output directory;
-- ``--help`` of the program and of every subcommand, and usage errors.
+- ``--help`` of the program and of every subcommand, and usage errors,
+  among them an empty ``--prompts`` and ``--targets`` list and a prompt
+  of the wrong kind (``exp1 --prompt P1``).
 
 Each command goes through ``fovlink.cli.main`` as ``python -m fovlink``
 would call it. The exit code, stdout, stderr and the SHA-256 of every
@@ -58,6 +61,8 @@ REPORT_TARGETS = "csv,records,svg"
 LIVE_SUFFIX = "_live"
 # the one wall-clock field of a result record, as the report writes it
 LATENCY = re.compile(rb'"latency":[^,}]*')
+# the scenarios that break the v2v scenario table: a vehicle id named twice, an unregistered prompt id
+BROKEN_SCENARIOS = ("scenario_id_twice.json", "scenario_unknown_prompt.json")
 # a case is (argv, the directory whose files it is judged by, relative to the side's cwd)
 Case = tuple[list[str], str]
 
@@ -87,6 +92,10 @@ def _cases(inputs: Path) -> list[Case]:
     for index, argv in enumerate(runs):
         out = f"out/{index:02d}_{argv[0]}{LIVE_SUFFIX if 'live' in argv else ''}"
         cases += [([*argv, "--out", out], out), (["report", "--in", out, "--targets", REPORT_TARGETS], out)]
+    # each in a directory of its own, since a side that accepts the scenario writes there
+    for name in BROKEN_SCENARIOS:
+        out = f"out/{Path(name).stem}"
+        cases.append((["v2v", "--scenario", str(inputs / name), *common, "--out", out], out))
     out = "out/usage"
     usage = [
         [],
@@ -97,12 +106,15 @@ def _cases(inputs: Path) -> list[Case]:
         ["exp1", *common, "--runs", "0", "--out", out],
         ["exp2", *common, "--parallelism", "many", "--out", out],
         ["exp3", *common, "--prompts", "P1,P2,P1", "--out", out],
+        ["exp3", *common, "--prompts", "", "--out", out],
+        ["exp1", *common, "--prompt", "P1", "--out", out],
         ["exp1", *common, "--backend", "cloud", "--out", out],
         ["v2v"],
         ["v2v", *common, "--out", out],
         ["report"],
         ["report", "--in", "out/missing"],
         ["report", "--in", "out/00_exp1", "--targets", "pdf"],
+        ["report", "--in", "out/00_exp1", "--targets", ""],
         ["--help"],
         *([command, "--help"] for command in ("exp1", "exp2", "exp3", "v2v", "report")),
     ]
@@ -110,7 +122,7 @@ def _cases(inputs: Path) -> list[Case]:
 
 
 def _write_inputs(inputs: Path, src: Path, n_scenes: int, seed: int) -> None:
-    """The generated workload plus a v2v scenario over its scripted P1 replies."""
+    """The generated workload, a v2v scenario over its scripted P1 replies and the broken copies of it."""
     sys.path[:0] = [str(BENCH), str(src)]
     import gen
     from fovlink.prompts import PROMPTS
@@ -132,6 +144,10 @@ def _write_inputs(inputs: Path, src: Path, n_scenes: int, seed: int) -> None:
     ]
     scenario = {"vehicles": vehicles, "link": expected["dialogues"]["link"], "prompt_id": "P1"}
     (inputs / "scenario.json").write_text(json.dumps(scenario), encoding="utf-8")
+    twice = {**scenario, "vehicles": [*vehicles, {**vehicles[-1], "scene_id": remotes[0]}]}
+    unknown = {**scenario, "prompt_id": "P9"}
+    for name, broken in zip(BROKEN_SCENARIOS, (twice, unknown)):
+        (inputs / name).write_text(json.dumps(broken), encoding="utf-8")
     # what the live server names a request by: its prompt text and its frame's base64
     frames = {
         _digest(base64.b64encode((inputs / s["image_path"]).read_bytes())): s["scene_id"] for s in scenes
